@@ -1,0 +1,12 @@
+"""Benchmark tests import the benchmark's modules and survstream from src/.
+
+Run from the repository root: python3 -m pytest bench
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
