@@ -40,12 +40,9 @@ class ConfigError(ValueError):
     pass
 
 
-_RUN_KEYS = {
-    "source", "methods", "seeds", "output_dir", "epochs", "learning_rate",
-    "weight_decay", "alpha", "beta", "replay_count", "buffer_capacity",
-    "censored_weight", "latent", "hidden", "n_experts", "k_top",
-    "n_folds", "fold", "n_bins",
-}
+# estimator keywords a config may set; method and seed come from the sweep
+_EST_KEYS = frozenset(ContinualSurvivalEstimator._PARAM_NAMES) - {"method", "seed"}
+_RUN_KEYS = {"source", "methods", "seeds", "output_dir", "n_bins"} | _EST_KEYS
 _SOURCE_KEYS = {"type", "generator", "path"}
 
 
@@ -102,10 +99,7 @@ def run_experiment(config_path) -> dict:
     cfg = load_config(config_path)
     out_root = _output_root(cfg)
     out_root.mkdir(parents=True, exist_ok=True)
-    est_kwargs = {k: cfg[k] for k in (
-        "epochs", "learning_rate", "weight_decay", "alpha", "beta",
-        "replay_count", "buffer_capacity", "censored_weight", "latent",
-        "hidden", "n_experts", "k_top", "n_folds", "fold") if k in cfg}
+    est_kwargs = {k: cfg[k] for k in _EST_KEYS if k in cfg}
     per_method: dict[str, list[dict]] = {}
     for seed in cfg["seeds"]:
         stream = _build_stream(cfg, seed)
@@ -120,7 +114,7 @@ def run_experiment(config_path) -> dict:
             metrics = write_run_reports(result, run_dir)
             save_model(result.model, run_dir / "checkpoint.npz")
             if result.buffer is not None:
-                result.buffer.save(run_dir / "buffer.bin")
+                result.buffer.save(run_dir / "buffer.npz")
             per_method.setdefault(method, []).append(metrics)
     aggregate = {m: aggregate_metrics(runs) for m, runs in per_method.items()}
     (out_root / "aggregate.json").write_text(json.dumps(aggregate, indent=2))

@@ -9,6 +9,8 @@ behave the way scikit-learn users expect.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .data import CaseRecord, TaskStream
@@ -29,28 +31,13 @@ class ContinualSurvivalEstimator:
                  censored_weight: float = 0.0, latent: int = 64,
                  hidden: int = 128, n_experts: int = 8, k_top: int = 2,
                  n_folds: int = 5, fold: int = 0, seed: int = 0):
-        self.method = method
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
-        self.alpha = alpha
-        self.beta = beta
-        self.replay_count = replay_count
-        self.buffer_capacity = buffer_capacity
-        self.censored_weight = censored_weight
-        self.latent = latent
-        self.hidden = hidden
-        self.n_experts = n_experts
-        self.k_top = k_top
-        self.n_folds = n_folds
-        self.fold = fold
-        self.seed = seed
+        given = locals()
+        for name in self._PARAM_NAMES:
+            setattr(self, name, given[name])
         self.result_: SequenceResult | None = None
 
-    _PARAM_NAMES = ("method", "epochs", "learning_rate", "weight_decay",
-                    "alpha", "beta", "replay_count", "buffer_capacity",
-                    "censored_weight", "latent", "hidden", "n_experts",
-                    "k_top", "n_folds", "fold", "seed")
+    # the hyperparameter names: the constructor's keywords, in order
+    _PARAM_NAMES = tuple(inspect.signature(__init__).parameters)[1:]
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._PARAM_NAMES}

@@ -9,18 +9,24 @@ squared L2 distances, and replays the stored cases through the survival loss.
 
 from __future__ import annotations
 
-import io
-import struct
-from dataclasses import dataclass, field
+import zipfile
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import CaseRecord
+from .bagio import CorruptFileError
+from .data import CaseRecord, N_GENOMIC_GROUPS
 from .survival import SurvLossConfig, nll_survival_loss
 
-_MAGIC = b"SVRB"
-_VERSION = 1
+# What reading a damaged archive raises. RuntimeError covers zipfile's
+# NotImplementedError (unknown compression method) and its error for members
+# flagged as encrypted; LookupError and TypeError cover intact archives with
+# missing members or arrays of the wrong shape. A missing file is not among
+# these: `load` opens the file before it starts reading.
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError, LookupError,
+               TypeError, ValueError, RuntimeError)
 
 
 @dataclass(frozen=True)
@@ -29,11 +35,10 @@ class CLLossConfig:
 
     alpha: float = 2.4e-3   # feature-constraint weight
     beta: float = 0.5       # replay weight
-    zeta: float = 0.0       # generic forgetting weight for non-replay methods
     replay_count: int = 1   # items sampled per training step
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.zeta) < 0:
+        if min(self.alpha, self.beta) < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.replay_count < 1:
             raise ValueError("replay_count must be positive")
@@ -47,6 +52,9 @@ class ReplayItem:
     f_genomic: np.ndarray
     f_fused: np.ndarray
     logits: np.ndarray | None = None  # stored hazard logits (distillation methods)
+
+
+_FEATURES = ("f_patch", "f_genomic", "f_fused")
 
 
 class ReplayBuffer:
@@ -83,104 +91,117 @@ class ReplayBuffer:
     # ------------------------------------------------------------ serialization
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<BIQ", _VERSION, self.capacity, self.seen_count))
-            fh.write(struct.pack("<I", len(self.items)))
-            for it in self.items:
-                _write_item(fh, it)
+        """Write an uncompressed `.npz` archive at exactly `path`.
+
+        Per-item scalars are one array each; item i's arrays are stored
+        under `i/<name>`, with `i/logits` present only where `has_logits`
+        says so.
+        """
+        items = self.items
+        arrays = {
+            "capacity": np.int64(self.capacity),
+            "seen_count": np.int64(self.seen_count),
+            "case_id": np.array([it.case.case_id for it in items], dtype=str),
+            "task_id": np.array([it.task_id for it in items], dtype=np.int64),
+            "time": np.array([it.case.time for it in items], dtype=np.float64),
+            "censored": np.array([it.case.censored for it in items], dtype=np.int64),
+            "label": np.array([it.case.label for it in items], dtype=np.int64),
+            # explicit, so a member lost from a damaged archive is an error
+            "has_logits": np.array([it.logits is not None for it in items]),
+        }
+        for i, it in enumerate(items):
+            arrays[f"{i}/patches"] = it.case.patches
+            arrays.update((f"{i}/group{j}", g) for j, g in enumerate(it.case.groups))
+            arrays.update((f"{i}/{f}", getattr(it, f)) for f in _FEATURES)
+            if it.logits is not None:
+                arrays[f"{i}/logits"] = it.logits
+        with open(path, "wb") as fh:  # a handle: numpy appends no suffix
+            np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path) -> "ReplayBuffer":
+        """Read a `save` archive; any damage raises `CorruptFileError`."""
         with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError(f"{path}: not a replay-buffer file")
-            version, capacity, seen = struct.unpack("<BIQ", fh.read(13))
-            if version != _VERSION:
-                raise ValueError(f"{path}: unsupported version {version}")
-            buf = cls(capacity)
-            buf.seen_count = seen
-            (n,) = struct.unpack("<I", fh.read(4))
-            buf.items = [_read_item(fh) for _ in range(n)]
-            return buf
+            try:
+                return cls._read(fh)
+            except _UNREADABLE as exc:
+                raise CorruptFileError(
+                    f"{path}: unreadable replay buffer ({type(exc).__name__}: {exc})"
+                ) from exc
 
-
-def _write_arr(fh, arr: np.ndarray) -> None:
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    fh.write(struct.pack("<II", *a.shape if a.ndim == 2 else (1, a.size)))
-    fh.write(a.tobytes())
-
-
-def _read_arr(fh) -> np.ndarray:
-    r, c = struct.unpack("<II", fh.read(8))
-    return np.frombuffer(fh.read(8 * r * c), dtype="<f8").reshape(r, c).copy()
-
-
-def _write_item(fh, it: ReplayItem) -> None:
-    cid = it.case.case_id.encode()
-    fh.write(struct.pack("<H", len(cid)))
-    fh.write(cid)
-    fh.write(struct.pack("<idBi", it.task_id, it.case.time,
-                         it.case.censored, it.case.label))
-    _write_arr(fh, it.case.patches)
-    fh.write(struct.pack("<B", len(it.case.groups)))
-    for g in it.case.groups:
-        _write_arr(fh, g.reshape(1, -1))
-    for f in (it.f_patch, it.f_genomic, it.f_fused):
-        _write_arr(fh, f)
-    has_logits = it.logits is not None
-    fh.write(struct.pack("<B", has_logits))
-    if has_logits:
-        _write_arr(fh, it.logits)
-
-
-def _read_item(fh) -> ReplayItem:
-    (idlen,) = struct.unpack("<H", fh.read(2))
-    cid = fh.read(idlen).decode()
-    task_id, time, censored, label = struct.unpack("<idBi", fh.read(17))
-    patches = _read_arr(fh)
-    (ng,) = struct.unpack("<B", fh.read(1))
-    groups = tuple(_read_arr(fh).reshape(-1) for _ in range(ng))
-    case = CaseRecord(cid, patches, groups, time, int(censored), label=label)
-    f_p, f_g, f_f = (_read_arr(fh) for _ in range(3))
-    (has_logits,) = struct.unpack("<B", fh.read(1))
-    logits = _read_arr(fh) if has_logits else None
-    return ReplayItem(case, task_id, f_p, f_g, f_f, logits)
+    @classmethod
+    def _read(cls, fh) -> "ReplayBuffer":
+        # the CRC pass covers bytes numpy would skip when a damaged array
+        # header declares a smaller shape
+        with zipfile.ZipFile(fh) as zf:
+            bad = zf.testzip()
+        if bad is not None:
+            raise zipfile.BadZipFile(f"bad CRC in member {bad}")
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as z:
+            buf = cls(int(z["capacity"]))
+            buf.seen_count = int(z["seen_count"])
+            ids, tasks = z["case_id"].tolist(), z["task_id"].tolist()
+            times, censor = z["time"].tolist(), z["censored"].tolist()
+            labels, has_logits = z["label"].tolist(), z["has_logits"].tolist()
+            for i, cid in enumerate(ids):
+                groups = tuple(z[f"{i}/group{j}"] for j in range(N_GENOMIC_GROUPS))
+                case = CaseRecord(cid, z[f"{i}/patches"], groups, times[i],
+                                  censor[i], label=labels[i])
+                logits = z[f"{i}/logits"] if has_logits[i] else None
+                buf.items.append(ReplayItem(
+                    case, tasks[i], *(z[f"{i}/{f}"] for f in _FEATURES), logits))
+        return buf
 
 
 # ---------------------------------------------------------------------------
 # losses
 
-def feature_constraint_loss(model, items: list[ReplayItem]) -> ad.Tensor:
-    """Mean squared drift of the three feature maps from their frozen values.
+def replay_terms(model, items: list[ReplayItem], cfg: CLLossConfig,
+                 survcfg: SurvLossConfig = SurvLossConfig()
+                 ) -> tuple[ad.Tensor, ad.Tensor]:
+    """(feature constraint, replay NLL), each a mean over `items`, from one
+    forward per item.
 
-    Frozen features are constants; gradients flow only through the current
-    model's recomputation of each stored case.
+    The feature constraint is the summed squared drift of the three feature
+    maps from their frozen values; frozen features are constants, so
+    gradients flow only through the current model's recomputation of each
+    stored case. The replay NLL sends each case through its own task head.
+    A term whose weight in `cfg` is zero is not built and comes back as 0.
     """
-    if not items:
-        return ad.constant(0.0)
-    total = None
+    fc = rl = None
     for it in items:
-        _, f_p, f_g, f_f = model.forward(it.case, it.task_id)
-        term = ad.add(
-            ad.add(ad.sum_all(ad.square(ad.sub(ad.constant(it.f_patch), f_p))),
-                   ad.sum_all(ad.square(ad.sub(ad.constant(it.f_genomic), f_g)))),
-            ad.sum_all(ad.square(ad.sub(ad.constant(it.f_fused), f_f))))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(items))
+        hazards, f_p, f_g, f_f = model.forward(it.case, it.task_id)
+        if cfg.alpha > 0.0:
+            term = ad.add(ad.add(_sq_dist(it.f_patch, f_p),
+                                 _sq_dist(it.f_genomic, f_g)),
+                          _sq_dist(it.f_fused, f_f))
+            fc = term if fc is None else ad.add(fc, term)
+        if cfg.beta > 0.0:
+            term = nll_survival_loss(hazards, it.case.label, it.case.censored,
+                                     survcfg)
+            rl = term if rl is None else ad.add(rl, term)
+    return _mean(fc, len(items)), _mean(rl, len(items))
+
+
+def _sq_dist(frozen: np.ndarray, current: ad.Tensor) -> ad.Tensor:
+    return ad.sum_all(ad.square(ad.sub(ad.constant(frozen), current)))
+
+
+def _mean(total: ad.Tensor | None, n: int) -> ad.Tensor:
+    return ad.constant(0.0) if total is None else ad.scale(total, 1.0 / n)
+
+
+def feature_constraint_loss(model, items: list[ReplayItem]) -> ad.Tensor:
+    """Mean squared drift of the three feature maps from their frozen values."""
+    return replay_terms(model, items, CLLossConfig(alpha=1.0, beta=0.0))[0]
 
 
 def replay_loss(model, items: list[ReplayItem],
                 survcfg: SurvLossConfig = SurvLossConfig()) -> ad.Tensor:
     """Mean survival NLL over replayed cases, each through its own task head."""
-    if not items:
-        return ad.constant(0.0)
-    total = None
-    for it in items:
-        hazards, _, _, _ = model.forward(it.case, it.task_id)
-        term = nll_survival_loss(hazards, it.case.label, it.case.censored, survcfg)
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(items))
+    return replay_terms(model, items, CLLossConfig(alpha=0.0, beta=1.0),
+                        survcfg)[1]
 
 
 def total_loss(current: ad.Tensor, feature_term: ad.Tensor, replay_term: ad.Tensor,

@@ -13,16 +13,15 @@ frozen-feature storage, because buffer randomness lives on its own stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import TaskData, TaskStream
 from .fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
-                  total_loss)
+                  replay_terms, total_loss)
 from .model import ModelConfig, SurvivalModel
-from .moe import MoEModule
 from .survival import (SurvLossConfig, UndefinedMetricError, c_index,
                        c_index_ipcw, nll_survival_loss, risk_score)
 from .synthdata import split_folds
@@ -220,51 +219,31 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
         distill = ad.scale(distill, 1.0 / len(items))
         return total_loss(current, distill,
                           replay_loss(model, items, cfg.surv), loss_cfg)
-    # fcr: one forward per item feeds both the feature-constraint and the
-    # replay term (same values as the standalone loss functions)
-    fc = None
-    rl = None
-    for it in items:
-        hz, f_p, f_g, f_f = model.forward(it.case, it.task_id)
-        if loss_cfg.alpha > 0.0:
-            term = ad.add(
-                ad.add(ad.sum_all(ad.square(ad.sub(ad.constant(it.f_patch), f_p))),
-                       ad.sum_all(ad.square(ad.sub(ad.constant(it.f_genomic), f_g)))),
-                ad.sum_all(ad.square(ad.sub(ad.constant(it.f_fused), f_f))))
-            fc = term if fc is None else ad.add(fc, term)
-        if loss_cfg.beta > 0.0:
-            term = nll_survival_loss(hz, it.case.label, it.case.censored, cfg.surv)
-            rl = term if rl is None else ad.add(rl, term)
-    fc = ad.constant(0.0) if fc is None else ad.scale(fc, 1.0 / len(items))
-    rl = ad.constant(0.0) if rl is None else ad.scale(rl, 1.0 / len(items))
-    return total_loss(current, fc, rl, loss_cfg)
+    return total_loss(current, *replay_terms(model, items, loss_cfg, cfg.surv),
+                      loss_cfg)
 
 
-def train_task(model: SurvivalModel, task: TaskData, cfg: MethodConfig,
-               train_idx: np.ndarray, val_idx: np.ndarray,
-               buffer: ReplayBuffer | None,
-               rng_buffer: np.random.Generator,
-               curves: list | None = None,
-               step_hook=None) -> dict[str, np.ndarray]:
-    """Train one task; returns the best-validation-C-index parameter state.
+def _run_epochs(model: SurvivalModel, cfg: MethodConfig,
+                trainable: dict[str, ad.Tensor], epoch_order, validate,
+                curve_task: int, curves: list | None,
+                buffer: ReplayBuffer | None = None,
+                rng_buffer: np.random.Generator | None = None,
+                step_hook=None) -> dict[str, np.ndarray]:
+    """AdamW over `trainable` for `cfg.epochs` epochs; returns the state with
+    the best validation score.
 
-    Ties in validation C-index go to the earliest epoch; zero epochs returns
-    the initial parameters.
+    `epoch_order(epoch)` lists the epoch's (task_id, case) steps and
+    `validate()` scores the model after each epoch. Each step stores its
+    case in `buffer` when one is given. Ties in validation go to the
+    earliest epoch; zero epochs returns the initial parameters.
     """
-    if train_idx.size == 0:
-        raise ValueError(f"task {task.task_id}: empty training split")
-    trainable = model.trainable_parameters(task.task_id)
     opt = AdamW(trainable, cfg.learning_rate, cfg.weight_decay)
     best_state = model.get_state()
     best_val = -np.inf
-    uses_buffer = cfg.method in ("er", "derpp", "fcr") and buffer is not None
     for epoch in range(cfg.epochs):
-        order = train_idx.copy()
-        _shuffle_rng(cfg.seed, task.task_id, epoch).shuffle(order)
         losses = []
-        for i in order:
-            case = task.cases[i]
-            loss = _step_loss(cfg, model, case, task.task_id, buffer, rng_buffer)
+        for task_id, case in epoch_order(epoch):
+            loss = _step_loss(cfg, model, case, task_id, buffer, rng_buffer)
             losses.append(loss.item())
             ad.backward(loss)
             grads = {}
@@ -273,63 +252,68 @@ def train_task(model: SurvivalModel, task: TaskData, cfg: MethodConfig,
                     grads[name] = p.grad
                     p.grad = None
             opt.step(grads)
-            if uses_buffer:
-                _store_case(cfg.method, model, buffer, case, task.task_id,
+            if buffer is not None:
+                _store_case(cfg.method, model, buffer, case, task_id,
                             rng_buffer)
             if step_hook is not None:
                 step_hook(model)
-        risks = _evaluate_risks(model, task, val_idx)
-        val_c = c_index(risks, task.times[val_idx], task.censor[val_idx])
+        val_c = validate()
         if curves is not None:
-            curves.append((task.task_id, epoch, float(np.mean(losses)), val_c))
+            curves.append((curve_task, epoch, float(np.mean(losses)), val_c))
         if val_c > best_val:
             best_val = val_c
             best_state = model.get_state()
     return best_state
+
+
+def train_task(model: SurvivalModel, task: TaskData, cfg: MethodConfig,
+               train_idx: np.ndarray, val_idx: np.ndarray,
+               buffer: ReplayBuffer | None,
+               rng_buffer: np.random.Generator,
+               curves: list | None = None,
+               step_hook=None) -> dict[str, np.ndarray]:
+    """Train one task; returns the best-validation-C-index parameter state."""
+    if train_idx.size == 0:
+        raise ValueError(f"task {task.task_id}: empty training split")
+
+    def epoch_order(epoch):
+        order = train_idx.copy()
+        _shuffle_rng(cfg.seed, task.task_id, epoch).shuffle(order)
+        return [(task.task_id, task.cases[i]) for i in order]
+
+    def validate():
+        risks = _evaluate_risks(model, task, val_idx)
+        return c_index(risks, task.times[val_idx], task.censor[val_idx])
+
+    uses_buffer = cfg.method in ("er", "derpp", "fcr")
+    return _run_epochs(model, cfg, model.trainable_parameters(task.task_id),
+                       epoch_order, validate, task.task_id, curves,
+                       buffer if uses_buffer else None, rng_buffer, step_hook)
 
 
 def _train_joint(model: SurvivalModel, stream: TaskStream, cfg: MethodConfig,
                  splits, curves: list | None) -> dict[str, np.ndarray]:
     """One pass over the shuffled union of all tasks, per-task heads/routers."""
-    pool = [(t.task_id, i) for t, (tr, _) in zip(stream.tasks, splits)
+    pool = [(t.task_id, t.cases[i]) for t, (tr, _) in zip(stream.tasks, splits)
             for i in tr]
     if not pool:
         raise ValueError("joint training has no cases")
-    trainables = {t.task_id: model.trainable_parameters(t.task_id)
-                  for t in stream.tasks}
     merged: dict[str, ad.Tensor] = {}
-    for d in trainables.values():
-        merged.update(d)
-    opt = AdamW(merged, cfg.learning_rate, cfg.weight_decay)
-    best_state = model.get_state()
-    best_val = -np.inf
-    for epoch in range(cfg.epochs):
+    for t in stream.tasks:
+        merged.update(model.trainable_parameters(t.task_id))
+
+    def epoch_order(epoch):
         perm = _shuffle_rng(cfg.seed, len(stream.tasks), epoch).permutation(len(pool))
-        order = [pool[i] for i in perm]
-        losses = []
-        for task_id, i in order:
-            task = stream.tasks[task_id]
-            case = task.cases[i]
-            loss = _step_loss(cfg, model, case, task_id, None, None)
-            losses.append(loss.item())
-            ad.backward(loss)
-            grads = {}
-            for name, p in merged.items():
-                if p.grad is not None:
-                    grads[name] = p.grad
-                    p.grad = None
-            opt.step(grads)
+        return [pool[i] for i in perm]
+
+    def validate():
         vals = []
         for task, (_, va) in zip(stream.tasks, splits):
             risks = _evaluate_risks(model, task, va)
             vals.append(c_index(risks, task.times[va], task.censor[va]))
-        val_c = float(np.mean(vals))
-        if curves is not None:
-            curves.append((-1, epoch, float(np.mean(losses)), val_c))
-        if val_c > best_val:
-            best_val = val_c
-            best_state = model.get_state()
-    return best_state
+        return float(np.mean(vals))
+
+    return _run_epochs(model, cfg, merged, epoch_order, validate, -1, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +360,10 @@ def collect_routing(model: SurvivalModel, stream: TaskStream, splits
     for task, (_, va) in zip(stream.tasks, splits):
         site_inputs = {"patch": [], "genomic": [], "fusion": []}
         for i in va:
-            case = task.cases[i]
-            p, g = model._inputs(case)
+            p, g = model._inputs(task.cases[i])
             # pooled vectors before each mixture site
-            pooled_p = _pre_moe_patch(model, p, g)
-            pooled_g = _pre_moe_genomic(model, g, p)
+            pooled_p = model._pool_patches(p, g).data
+            pooled_g = model._pool_genomics(g, p).data
             f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
             f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
             site_inputs["patch"].append(pooled_p.reshape(-1))
@@ -394,25 +377,6 @@ def collect_routing(model: SurvivalModel, stream: TaskStream, splits
             for e, prop in enumerate(props):
                 rows.append((task.task_id, site_name, e, float(prop)))
     return rows
-
-
-def _pre_moe_patch(model, p, g) -> np.ndarray:
-    emb = model.patch_embed(p)
-    gsum = ad.mean_rows(ad.relu(model.patch_gsum(g)))
-    u = ad.concat_cols(emb, ad.tile_rows(gsum, p.shape[0]))
-    gate = ad.mul(ad.tanh(model.attn_v(u)), ad.sigmoid(model.attn_u(u)))
-    attn = ad.softmax(ad.transpose(model.attn_w(gate)))
-    return ad.matmul(attn, emb).data
-
-
-def _pre_moe_genomic(model, g, p) -> np.ndarray:
-    rows = [net(ad.constant(g.data[i:i + 1]))
-            for i, net in enumerate(model.group_nets)]
-    stack = ad.concat_rows(rows)
-    psum = ad.mean_rows(ad.relu(model.gen_psum(p)))
-    cond = ad.concat_cols(stack, ad.tile_rows(psum, len(rows)))
-    attn = ad.softmax(ad.transpose(model.gattn_w(ad.tanh(model.gattn_v(cond)))))
-    return ad.matmul(attn, stack).data
 
 
 def build_model(stream: TaskStream, cfg: MethodConfig) -> SurvivalModel:

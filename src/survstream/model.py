@@ -78,7 +78,8 @@ class SurvivalModel:
         g = ad.constant(padded_groups(case, self.cfg.genomic_width))
         return p, g
 
-    def _encode_patches(self, p: ad.Tensor, g: ad.Tensor, task_id: int) -> ad.Tensor:
+    def _pool_patches(self, p: ad.Tensor, g: ad.Tensor) -> ad.Tensor:
+        """Gated-attention pooling of the patch bag: the patch site's input."""
         n = p.shape[0]
         if n < 1:
             raise ValueError("empty patch bag")
@@ -88,10 +89,10 @@ class SurvivalModel:
         gate = ad.mul(ad.tanh(self.attn_v(u)), ad.sigmoid(self.attn_u(u)))
         scores = self.attn_w(gate)                                 # (n, 1)
         attn = ad.softmax(ad.transpose(scores))                    # (1, n)
-        pooled = ad.matmul(attn, emb)                              # (1, d)
-        return self.moe_patch.forward(pooled, task_id)
+        return ad.matmul(attn, emb)                                # (1, d)
 
-    def _encode_genomics(self, g: ad.Tensor, p: ad.Tensor, task_id: int) -> ad.Tensor:
+    def _pool_genomics(self, g: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
+        """Attention pooling of the six group embeddings: the genomic site's input."""
         rows = [net(ad.constant(g.data[i:i + 1]))
                 for i, net in enumerate(self.group_nets)]
         stack = ad.concat_rows(rows)                               # (6, d)
@@ -99,8 +100,13 @@ class SurvivalModel:
         cond = ad.concat_cols(stack, ad.tile_rows(psum, N_GENOMIC_GROUPS))
         scores = self.gattn_w(ad.tanh(self.gattn_v(cond)))         # (6, 1)
         attn = ad.softmax(ad.transpose(scores))                    # (1, 6)
-        pooled = ad.matmul(attn, stack)                            # (1, d)
-        return self.moe_gen.forward(pooled, task_id)
+        return ad.matmul(attn, stack)                              # (1, d)
+
+    def _encode_patches(self, p: ad.Tensor, g: ad.Tensor, task_id: int) -> ad.Tensor:
+        return self.moe_patch.forward(self._pool_patches(p, g), task_id)
+
+    def _encode_genomics(self, g: ad.Tensor, p: ad.Tensor, task_id: int) -> ad.Tensor:
+        return self.moe_gen.forward(self._pool_genomics(g, p), task_id)
 
     def encode_patches(self, case: CaseRecord, task_id: int) -> ad.Tensor:
         p, g = self._inputs(case)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survstream import autodiff as ad
+from survstream.bagio import CorruptFileError
 from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
                             feature_constraint_loss, replay_loss, total_loss)
 from survstream.model import SurvivalModel
@@ -102,6 +103,33 @@ class TestReservoir:
         assert buf.seen_count == n_items
 
 
+def _saved_buffer(tmp_path, n_items=2):
+    rng = np.random.default_rng(4)
+    buf = ReplayBuffer(n_items)
+    for i in range(n_items):
+        it = make_item(rng, task_id=i, cid=f"case_{i}")
+        if i % 2:
+            it.logits = rng.normal(size=(1, 4))
+        buf.reservoir_update(it, rng)
+    path = tmp_path / "buffer.npz"
+    buf.save(path)
+    return buf, path
+
+
+def _item_fields(it):
+    c = it.case
+    arrays = (c.patches, *c.groups, it.f_patch, it.f_genomic, it.f_fused)
+    logits = None if it.logits is None else (it.logits.dtype, it.logits.shape,
+                                             it.logits.tobytes())
+    return (c.case_id, it.task_id, c.time, type(c.time), c.censored,
+            type(c.censored), c.label, type(c.label),
+            [(a.dtype, a.shape, a.tobytes()) for a in arrays], logits)
+
+
+def _buffer_fields(buf):
+    return (buf.capacity, buf.seen_count, [_item_fields(it) for it in buf.items])
+
+
 class TestBufferSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -111,7 +139,7 @@ class TestBufferSerialization:
             if i % 2:
                 it.logits = rng.normal(size=(1, 4))
             buf.reservoir_update(it, rng)
-        path = tmp_path / "buf.bin"
+        path = tmp_path / "buf.npz"
         buf.save(path)
         back = ReplayBuffer.load(path)
         assert back.capacity == buf.capacity
@@ -133,11 +161,64 @@ class TestBufferSerialization:
                 assert b.logits is None
             else:
                 assert np.array_equal(a.logits, b.logits)
+        # dtypes, shapes and Python scalar types survive as well
+        assert _buffer_fields(back) == _buffer_fields(buf)
+
+    def test_empty_buffer_round_trip(self, tmp_path):
+        buf = ReplayBuffer(3)
+        buf.save(tmp_path / "empty.npz")
+        back = ReplayBuffer.load(tmp_path / "empty.npz")
+        assert (back.capacity, back.seen_count, back.items) == (3, 0, [])
+
+    def test_saves_at_the_given_path(self, tmp_path):
+        ReplayBuffer(1).save(tmp_path / "buffer")  # numpy would add ".npz"
+        assert [p.name for p in tmp_path.iterdir()] == ["buffer"]
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
+        path = tmp_path / "junk.npz"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptFileError):
+            ReplayBuffer.load(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ReplayBuffer.load(tmp_path / "absent.npz")
+
+    def test_every_truncation_is_a_corrupt_file(self, tmp_path):
+        _, path = _saved_buffer(tmp_path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.npz"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CorruptFileError):
+                ReplayBuffer.load(cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7))
+    def test_a_flipped_bit_is_caught_or_harmless(self, tmp_path_factory,
+                                                 where, bit):
+        tmp = tmp_path_factory.mktemp("flip")
+        buf, path = _saved_buffer(tmp)
+        blob = bytearray(path.read_bytes())
+        blob[int(where * len(blob))] ^= 1 << bit
+        path.write_bytes(bytes(blob))
+        try:
+            back = ReplayBuffer.load(path)
+        except CorruptFileError:
+            return
+        assert _buffer_fields(back) == _buffer_fields(buf)
+
+    @pytest.mark.parametrize("method", [1, 8, 12, 99])
+    def test_unknown_compression_method_is_a_corrupt_file(self, tmp_path,
+                                                          method):
+        _, path = _saved_buffer(tmp_path)
+        blob = bytearray(path.read_bytes())
+        # central-directory record of the first member: the method field
+        # sits 10 bytes into the record
+        at = blob.index(b"PK\x01\x02") + 10
+        blob[at:at + 2] = method.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFileError):
             ReplayBuffer.load(path)
 
 

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from survstream import autodiff as ad
-from survstream.fcr import CLLossConfig
+from survstream.estimator import ContinualSurvivalEstimator
+from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
+                            feature_constraint_loss, replay_loss, total_loss)
 from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
-                                average_on_trained, average_performance,
-                                build_model, bwt, forgetting, fwt,
+                                _step_loss, average_on_trained,
+                                average_performance, build_model, bwt,
+                                collect_routing, forgetting, fwt,
                                 run_sequence, train_task)
-from survstream.survival import UndefinedMetricError
+from survstream.moe import MoEModule
+from survstream.survival import UndefinedMetricError, nll_survival_loss
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
 
 TINY_KW = dict(latent=8, hidden=10, attn_dim=4, n_experts=4, k_top=1)
@@ -146,6 +150,11 @@ class TestMethodConfig:
         assert cfg.learning_rate == 2e-4
         assert cfg.weight_decay == 1e-5
         assert cfg.buffer_capacity == 32
+
+    def test_estimator_defaults_match_method_config(self):
+        # the estimator's keyword defaults restate MethodConfig's
+        assert (ContinualSurvivalEstimator().method_config()
+                == MethodConfig(method="fcr"))
 
 
 class TestTrainTask:
@@ -304,3 +313,100 @@ class TestFrozenRouters:
         after = {n: p.data.copy() for n, p in model.parameters().items()
                  if ".router0." in n}
         assert model_states_equal(before, after)
+
+
+def _grads_of(loss, params):
+    ad.backward(loss)
+    out = {}
+    for name, p in params.items():
+        out[name] = p.grad
+        p.grad = None
+    return out
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.01])
+def test_fcr_step_loss_equals_the_standalone_loss_functions(stream, drift):
+    """fcr's step (one forward per replayed item) against total_loss over
+    feature_constraint_loss and replay_loss (one forward per item each).
+
+    The value is the same bit for bit. The gradients are too while the
+    stored features have not drifted; once they have, the shared forward
+    adds the two terms' upstream gradients before back-propagating them, so
+    the gradients agree only up to rounding."""
+    cfg = MethodConfig(method="fcr", seed=4,
+                       loss=CLLossConfig(alpha=0.3, beta=0.7, replay_count=3),
+                       **TINY_KW)
+    model = build_model(stream, cfg)
+    task = stream.tasks[1]
+    buffer = ReplayBuffer(4)
+    rng = np.random.default_rng(5)
+    for case in task.cases[:6]:
+        buffer.reservoir_update(
+            ReplayItem(case, 1, *model.feature_triple(case, 1)), rng)
+    for p in model.parameters().values():
+        p.data = p.data + drift
+    params = model.trainable_parameters(1)
+    case = task.cases[7]
+    items = buffer.sample_replay(3, np.random.default_rng(6))
+    assert len({it.case.case_id for it in items}) > 1
+
+    step = _step_loss(cfg, model, case, 1, buffer, np.random.default_rng(6))
+    step_grads = _grads_of(step, params)
+    hazards = model.forward(case, 1)[0]
+    current = nll_survival_loss(hazards, case.label, case.censored, cfg.surv)
+    fc = feature_constraint_loss(model, items)
+    ref = total_loss(current, fc, replay_loss(model, items, cfg.surv),
+                     cfg.loss)
+    ref_grads = _grads_of(ref, params)
+
+    assert (fc.item() > 0.0) == (drift > 0.0)
+    assert step.item() == ref.item()
+    assert set(step_grads) == set(ref_grads)
+    for name in ref_grads:
+        a, b = step_grads[name], ref_grads[name]
+        assert (a is None) == (b is None), name
+        if a is None:
+            continue
+        if drift:
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-15), name
+        else:
+            assert np.array_equal(a, b), name
+
+
+def test_collect_routing_feeds_each_site_what_forward_feeds_it(
+        stream, monkeypatch):
+    cfg = MethodConfig(seed=2, **TINY_KW)
+    model = build_model(stream, cfg)
+    sites = {model.moe_patch: "patch", model.moe_gen: "genomic",
+             model.moe_fuse: "fusion"}
+    seen = {name: [] for name in sites.values()}
+    orig_forward = MoEModule.forward
+
+    def recording_forward(self, x, task_id):
+        seen[sites[self]].append(x.data.reshape(-1).copy())
+        return orig_forward(self, x, task_id)
+
+    monkeypatch.setattr(MoEModule, "forward", recording_forward)
+    task = stream.tasks[1]
+    idx = np.arange(5)
+    for i in idx:
+        model.forward(task.cases[i], task.task_id)
+    forward_inputs = {name: list(xs) for name, xs in seen.items()}
+    monkeypatch.setattr(MoEModule, "forward", orig_forward)
+
+    routed = {}
+    orig_stats = MoEModule.routing_stats
+
+    def recording_stats(self, inputs, task_id):
+        routed[sites[self]] = [np.asarray(x).copy() for x in inputs]
+        return orig_stats(self, inputs, task_id)
+
+    monkeypatch.setattr(MoEModule, "routing_stats", recording_stats)
+    collect_routing(model, type(stream)([task], stream.d_patch,
+                                        stream.genomic_width),
+                    [(None, idx)])
+    assert set(routed) == set(forward_inputs)
+    for name, xs in forward_inputs.items():
+        assert len(routed[name]) == len(xs) == idx.size
+        for a, b in zip(routed[name], xs):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -8,8 +8,10 @@ from survstream.bagio import (CorruptFileError, DimensionMismatchError,
                               ingest_stream, read_task_file, save_stream,
                               streams_equal, write_task_file)
 from survstream.checkpoint import load_model, save_model
-from survstream.cli import ConfigError, load_config, main, run_experiment
+from survstream.cli import (_RUN_KEYS, ConfigError, load_config, main,
+                            run_experiment)
 from survstream.estimator import ContinualSurvivalEstimator, NotFittedError
+from survstream.fcr import ReplayBuffer
 from survstream.harness import MethodConfig, build_model
 from survstream.synthdata import GeneratorConfig, generate_stream
 
@@ -182,6 +184,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, optimizer="sgd"))
 
+    def test_accepted_keys_are_the_estimator_parameters(self, tmp_path):
+        est_keys = {"epochs", "learning_rate", "weight_decay", "alpha",
+                    "beta", "replay_count", "buffer_capacity",
+                    "censored_weight", "latent", "hidden", "n_experts",
+                    "k_top", "n_folds", "fold"}
+        assert _RUN_KEYS == est_keys | {"source", "methods", "seeds",
+                                        "output_dir", "n_bins"}
+        for key in ("method", "seed"):  # set by the sweep, not the config
+            with pytest.raises(ConfigError):
+                load_config(write_config(tmp_path, **{key: 0}))
+
     def test_missing_required(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"methods": ["fcr"]}))
@@ -220,6 +233,12 @@ class TestCLI:
         agg = json.loads((out / "aggregate.json").read_text())
         assert "c_index" in agg["finetune"]
         assert "mean" in agg["finetune"]["c_index"]["average"]
+
+    def test_replay_run_writes_a_loadable_buffer(self, tmp_path):
+        assert main(["run", str(write_config(tmp_path, methods=["er"]))]) == 0
+        run_dir = tmp_path / "out" / "er_seed0"
+        assert sorted(p.name for p in run_dir.glob("buffer*")) == ["buffer.npz"]
+        assert len(ReplayBuffer.load(run_dir / "buffer.npz")) > 0
 
     def test_run_exit_code_on_bad_config(self, tmp_path):
         path = tmp_path / "c.json"
