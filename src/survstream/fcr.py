@@ -70,16 +70,18 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self.items)
 
-    def reservoir_update(self, item: ReplayItem, rng: np.random.Generator) -> None:
+    def reservoir_update(self, item: ReplayItem, rng: np.random.Generator) -> int | None:
         """Insert during the fill phase, then replace a random slot with
-        probability capacity / seen_count."""
+        probability capacity / seen_count; return the slot taken, or None."""
         self.seen_count += 1
         if len(self.items) < self.capacity:
             self.items.append(item)
-            return
+            return len(self.items) - 1
         slot = int(rng.integers(0, self.seen_count))
-        if slot < self.capacity:
-            self.items[slot] = item
+        if slot >= self.capacity:
+            return None
+        self.items[slot] = item
+        return slot
 
     def sample_replay(self, count: int, rng: np.random.Generator) -> list[ReplayItem]:
         """Uniform with replacement; empty buffer yields an empty batch."""

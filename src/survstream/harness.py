@@ -183,16 +183,17 @@ def _evaluate_risks(model: SurvivalModel, task: TaskData,
 def _store_case(method: str, model: SurvivalModel, buffer: ReplayBuffer,
                 case, task_id: int, rng: np.random.Generator) -> None:
     zeros = np.zeros((1, 1))
+    slot = buffer.reservoir_update(ReplayItem(case, task_id, zeros, zeros, zeros), rng)
+    # fcr's features and derpp's logits are computed only for a kept case
+    if slot is None or method == "er":
+        return
     if method == "fcr":
-        f_p, f_g, f_f = model.feature_triple(case, task_id)
-        item = ReplayItem(case, task_id, f_p, f_g, f_f)
-    elif method == "derpp":
+        item = ReplayItem(case, task_id, *model.feature_triple(case, task_id))
+    else:  # derpp
         _, _, _, f_f = model.forward(case, task_id)
         logits = model.heads[task_id](f_f).data.copy()
         item = ReplayItem(case, task_id, zeros, zeros, zeros, logits=logits)
-    else:  # er
-        item = ReplayItem(case, task_id, zeros, zeros, zeros)
-    buffer.reservoir_update(item, rng)
+    buffer.items[slot] = item
 
 
 def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,

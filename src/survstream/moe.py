@@ -46,9 +46,10 @@ def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
     n = logits.size
     if k_top + 1 > n:
         raise ValueError(f"k_top={k_top} + shared needs more than {n} experts")
+    vals = logits.tolist()  # Python floats sort much faster than numpy scalars
     rest = [i for i in range(n) if i != shared_idx]
     # stable sort on negated logits: equal logits keep ascending index order
-    order = sorted(rest, key=lambda i: (-logits[i], i))
+    order = sorted(rest, key=lambda i: (-vals[i], i))
     selected = frozenset(order[:k_top]) | {shared_idx}
     masked = np.where([i in selected for i in range(n)], logits, -np.inf)
     m = masked[np.isfinite(masked)].max()

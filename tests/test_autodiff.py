@@ -191,3 +191,42 @@ def test_structured_ops_gradients():
         return ad.sum_all(ad.mul(ad.square(pooled), ad.tile_rows(ad.transpose(s), 1)))
 
     assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+
+
+
+def _grads_of(build, tensors):
+    ad.backward(ad.sum_all(ad.square(build())))
+    return [t.grad.copy() for t in tensors]
+
+
+class TestFusedLinear:
+    """linear is one tape node with the values and gradients of
+    add(matmul(x, w), b), bit for bit."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.x = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        self.w = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        self.b = ad.Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_matches_matmul_then_add(self, rows):
+        x, w, b = ad.Tensor(self.x.data[:rows], requires_grad=True), self.w, self.b
+        fused = ad.linear(x, w, b)
+        plain = ad.add(ad.matmul(x, w), b)
+        assert np.array_equal(fused.data, plain.data)
+        assert fused._parents == (x, w, b)
+        grads = _grads_of(lambda: ad.linear(x, w, b), (x, w, b))
+        ref = _grads_of(lambda: ad.add(ad.matmul(x, w), b), (x, w, b))
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref))
+
+    def test_shape_errors_name_the_replaced_primitive(self):
+        with pytest.raises(ad.ShapeError, match="matmul"):
+            ad.linear(self.x, ad.constant(np.ones((6, 2))), self.b)
+        with pytest.raises(ad.ShapeError, match="add"):
+            ad.linear(self.x, self.w, ad.constant(np.ones((1, 2))))
+
+    def test_constants_get_no_gradient(self):
+        c = ad.constant(self.x.data)
+        ad.backward(ad.sum_all(ad.linear(c, self.w, self.b)))
+        assert c.grad is None and self.w.grad is not None

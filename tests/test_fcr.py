@@ -43,6 +43,22 @@ class TestReservoir:
             buf.reservoir_update(it, rng)
         assert [it.case.case_id for it in buf.items] == [f"c{i}" for i in range(8)]
 
+    def test_update_returns_the_slot_taken(self):
+        rng = np.random.default_rng(2)
+        buf = ReplayBuffer(3)
+        kept = 0
+        for i in range(40):
+            it = make_item(rng, cid=f"c{i}")
+            slot = buf.reservoir_update(it, rng)
+            if i < 3:
+                assert slot == i
+            if slot is None:
+                assert all(x is not it for x in buf.items)
+            else:
+                assert buf.items[slot] is it
+                kept += 1
+        assert 3 < kept < 40
+
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(1)
         buf = ReplayBuffer(4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from survstream import autodiff as ad
+from survstream import harness
 from survstream.estimator import ContinualSurvivalEstimator
 from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
                             feature_constraint_loss, replay_loss, total_loss)
@@ -10,6 +11,7 @@ from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
                                 average_performance, build_model, bwt,
                                 collect_routing, forgetting, fwt,
                                 run_sequence, train_task)
+from survstream.model import SurvivalModel
 from survstream.moe import MoEModule
 from survstream.survival import UndefinedMetricError, nll_survival_loss
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
@@ -410,3 +412,49 @@ def test_collect_routing_feeds_each_site_what_forward_feeds_it(
         assert len(routed[name]) == len(xs) == idx.size
         for a, b in zip(routed[name], xs):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _eager_store_case(method, model, buffer, case, task_id, rng):
+    """The store step building every item before the reservoir decides."""
+    zeros = np.zeros((1, 1))
+    if method == "fcr":
+        item = ReplayItem(case, task_id, *model.feature_triple(case, task_id))
+    elif method == "derpp":
+        _, _, _, f_f = model.forward(case, task_id)
+        item = ReplayItem(case, task_id, zeros, zeros, zeros,
+                          logits=model.heads[task_id](f_f).data.copy())
+    else:
+        item = ReplayItem(case, task_id, zeros, zeros, zeros)
+    buffer.reservoir_update(item, rng)
+
+
+@pytest.mark.parametrize("method", ["fcr", "derpp"])
+def test_items_built_only_when_kept_match_eager_storage(stream, method,
+                                                        monkeypatch):
+    cfg = MethodConfig(method=method, epochs=2, buffer_capacity=6, seed=1,
+                       **TINY_KW)
+    built = []
+    orig_triple = SurvivalModel.feature_triple
+
+    def counting_triple(self, case, task_id):
+        built.append(case.case_id)
+        return orig_triple(self, case, task_id)
+
+    monkeypatch.setattr(SurvivalModel, "feature_triple", counting_triple)
+    lazy = run_sequence(cfg, stream)
+    n_built = len(built)
+    monkeypatch.setattr(harness, "_store_case", _eager_store_case)
+    eager = run_sequence(cfg, stream)
+
+    eager_built = len(built) - n_built
+    if method == "fcr":  # one snapshot per kept case, not one per step
+        assert 6 <= n_built < eager_built
+    assert model_states_equal(lazy.model.get_state(), eager.model.get_state())
+    assert lazy.buffer.seen_count == eager.buffer.seen_count
+    for a, b in zip(lazy.buffer.items, eager.buffer.items, strict=True):
+        assert a.case.case_id == b.case.case_id and a.task_id == b.task_id
+        for f in ("f_patch", "f_genomic", "f_fused"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert (a.logits is None) == (b.logits is None)
+        if a.logits is not None:
+            assert np.array_equal(a.logits, b.logits)
