@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import struct
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,35 @@ _VERSION = 1
 
 
 class CorruptFileError(ValueError):
-    """Bad magic, truncated payload, or malformed manifest."""
+    """Bad magic, truncated payload, or malformed manifest or archive."""
+
+
+# What reading a damaged .npz archive raises. RuntimeError covers zipfile's
+# NotImplementedError (unknown compression method) and its error for members
+# flagged as encrypted; LookupError, TypeError and ValueError cover intact
+# archives with missing members, arrays of the wrong shape or garbled text.
+UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError, LookupError,
+              TypeError, ValueError, RuntimeError)
+
+
+def read_npz(path, what: str, read):
+    """`read(archive)` on the .npz file at `path`; any damage raises
+    `CorruptFileError`. A missing file stays `FileNotFoundError`: the file is
+    opened before reading starts."""
+    with open(path, "rb") as fh:
+        try:
+            # the CRC pass covers bytes numpy would skip when a damaged array
+            # header declares a smaller shape
+            with zipfile.ZipFile(fh) as zf:
+                bad = zf.testzip()
+            if bad is not None:
+                raise zipfile.BadZipFile(f"bad CRC in member {bad}")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                return read(archive)
+        except UNREADABLE as exc:
+            raise CorruptFileError(
+                f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from exc
 
 
 class DimensionMismatchError(ValueError):

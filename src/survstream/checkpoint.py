@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from .bagio import read_npz
 from .model import ModelConfig, SurvivalModel
 
 
@@ -29,10 +30,14 @@ def save_model(model: SurvivalModel, path) -> None:
 
 
 def load_model(path) -> SurvivalModel:
-    with np.load(path) as archive:
-        meta = json.loads(archive["meta"].tobytes().decode())
-        state = {k[len("param/"):]: archive[k]
-                 for k in archive.files if k.startswith("param/")}
+    """Rebuild a `save_model` checkpoint; any damage raises `CorruptFileError`."""
+    return read_npz(path, "checkpoint", _build_model)
+
+
+def _build_model(archive) -> SurvivalModel:
+    meta = json.loads(archive["meta"].tobytes().decode())
+    state = {k[len("param/"):]: archive[k]
+             for k in archive.files if k.startswith("param/")}
     rng = np.random.default_rng(0)  # structure only; weights overwritten below
     model = SurvivalModel(ModelConfig(**meta["config"]), rng)
     for task_id in meta["task_ids"]:

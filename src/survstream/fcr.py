@@ -9,24 +9,14 @@ squared L2 distances, and replays the stored cases through the survival loss.
 
 from __future__ import annotations
 
-import zipfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .bagio import CorruptFileError
+from .bagio import read_npz
 from .data import CaseRecord, N_GENOMIC_GROUPS
 from .survival import SurvLossConfig, nll_survival_loss
-
-# What reading a damaged archive raises. RuntimeError covers zipfile's
-# NotImplementedError (unknown compression method) and its error for members
-# flagged as encrypted; LookupError and TypeError cover intact archives with
-# missing members or arrays of the wrong shape. A missing file is not among
-# these: `load` opens the file before it starts reading.
-_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError, LookupError,
-               TypeError, ValueError, RuntimeError)
 
 
 @dataclass(frozen=True)
@@ -123,36 +113,22 @@ class ReplayBuffer:
     @classmethod
     def load(cls, path) -> "ReplayBuffer":
         """Read a `save` archive; any damage raises `CorruptFileError`."""
-        with open(path, "rb") as fh:
-            try:
-                return cls._read(fh)
-            except _UNREADABLE as exc:
-                raise CorruptFileError(
-                    f"{path}: unreadable replay buffer ({type(exc).__name__}: {exc})"
-                ) from exc
+        return read_npz(path, "replay buffer", cls._read)
 
     @classmethod
-    def _read(cls, fh) -> "ReplayBuffer":
-        # the CRC pass covers bytes numpy would skip when a damaged array
-        # header declares a smaller shape
-        with zipfile.ZipFile(fh) as zf:
-            bad = zf.testzip()
-        if bad is not None:
-            raise zipfile.BadZipFile(f"bad CRC in member {bad}")
-        fh.seek(0)
-        with np.load(fh, allow_pickle=False) as z:
-            buf = cls(int(z["capacity"]))
-            buf.seen_count = int(z["seen_count"])
-            ids, tasks = z["case_id"].tolist(), z["task_id"].tolist()
-            times, censor = z["time"].tolist(), z["censored"].tolist()
-            labels, has_logits = z["label"].tolist(), z["has_logits"].tolist()
-            for i, cid in enumerate(ids):
-                groups = tuple(z[f"{i}/group{j}"] for j in range(N_GENOMIC_GROUPS))
-                case = CaseRecord(cid, z[f"{i}/patches"], groups, times[i],
-                                  censor[i], label=labels[i])
-                logits = z[f"{i}/logits"] if has_logits[i] else None
-                buf.items.append(ReplayItem(
-                    case, tasks[i], *(z[f"{i}/{f}"] for f in _FEATURES), logits))
+    def _read(cls, z) -> "ReplayBuffer":
+        buf = cls(int(z["capacity"]))
+        buf.seen_count = int(z["seen_count"])
+        ids, tasks = z["case_id"].tolist(), z["task_id"].tolist()
+        times, censor = z["time"].tolist(), z["censored"].tolist()
+        labels, has_logits = z["label"].tolist(), z["has_logits"].tolist()
+        for i, cid in enumerate(ids):
+            groups = tuple(z[f"{i}/group{j}"] for j in range(N_GENOMIC_GROUPS))
+            case = CaseRecord(cid, z[f"{i}/patches"], groups, times[i],
+                              censor[i], label=labels[i])
+            logits = z[f"{i}/logits"] if has_logits[i] else None
+            buf.items.append(ReplayItem(
+                case, tasks[i], *(z[f"{i}/{f}"] for f in _FEATURES), logits))
         return buf
 
 

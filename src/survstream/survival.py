@@ -8,6 +8,7 @@ Kaplan-Meier curves and the log-rank test are all built on top of that.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ class UndefinedMetricError(ValueError):
 
 class DegenerateWeightsError(ValueError):
     """IPCW weight 1/G(t-)^2 undefined because G(t-) = 0."""
+
+
+class MetricInputError(ValueError):
+    """A metric input with NaN or inf, a censor or event flag other than 0
+    or 1, more than one dimension, or a length unlike its partners'."""
 
 
 @dataclass(frozen=True)
@@ -122,18 +128,57 @@ def risk_score(hazards) -> float:
     return float(-hazards_to_survival(hazards).sum())
 
 
+def _columns(floats: dict, flags: dict) -> list[np.ndarray]:
+    """The named arguments as 1-D arrays of one length: `floats` as finite
+    float64, `flags` as given and holding only 0 and 1."""
+    out = []
+    for name, x in (*floats.items(), *flags.items()):
+        flag = name in flags
+        a = np.asarray(x) if flag else np.asarray(x, dtype=np.float64)
+        if a.ndim != 1 or (out and a.size != out[0].size):
+            want = f" of length {out[0].size}" if out else ""
+            raise MetricInputError(f"{name} has shape {a.shape}, expected 1-D{want}")
+        if not (((a == 0) | (a == 1)).all() if flag else np.isfinite(a).all()):
+            raise MetricInputError(
+                f"{name} holds {'a value other than 0 or 1' if flag else 'NaN or inf'}")
+        out.append(a)
+    return out
+
+
+def _later_counts(risks: np.ndarray, times: np.ndarray):
+    """Per case i: the number of cases j with t_j > t_i, and how many of those
+    have r_j < r_i and r_j == r_i. O(n log n) comparisons, O(n) memory; each
+    insertion into `seen` also shifts up to n list pointers (one memmove).
+
+    Cases are visited by descending time; a group of equal times is counted
+    against `seen`, the sorted risks of all later cases, before it joins it.
+    """
+    order = np.argsort(-times, kind="stable")
+    t_desc = times[order]
+    ends = (np.flatnonzero(np.r_[t_desc[1:] != t_desc[:-1], True]) + 1).tolist()
+    idx, rs = order.tolist(), risks[order].tolist()
+    later, lower, equal = ([0] * times.size for _ in range(3))
+    seen: list[float] = []
+    for a, b in zip([0, *ends[:-1]], ends):
+        for i, r in zip(idx[a:b], rs[a:b]):
+            lo = bisect_left(seen, r)
+            later[i], lower[i], equal[i] = len(seen), lo, bisect_right(seen, r, lo) - lo
+        for r in rs[a:b]:
+            insort(seen, r)
+    return np.array(later), np.array(lower), np.array(equal)
+
+
 def c_index(risks, times, censor) -> float:
-    """Harrell-style concordance over pairs (i, j): t_i < t_j, i uncensored."""
-    risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    censor = np.asarray(censor)
-    lt = (times[:, None] < times[None, :]) & (censor[:, None] == 0)
-    n_pairs = lt.sum()
+    """Harrell-style concordance over pairs (i, j): t_i < t_j, i uncensored.
+    Sort-based (`_later_counts`): O(n log n) comparisons, O(n) memory."""
+    risks, times, censor = _columns({"risks": risks, "times": times},
+                                    {"censor": censor})
+    later, lower, equal = _later_counts(risks, times)
+    anchor = censor == 0
+    n_pairs = later[anchor].sum()
     if n_pairs == 0:
         raise UndefinedMetricError("no comparable pairs")
-    gt = risks[:, None] > risks[None, :]
-    eq = risks[:, None] == risks[None, :]
-    concordant = (lt & gt).sum() + 0.5 * (lt & eq).sum()
+    concordant = lower[anchor].sum() + 0.5 * equal[anchor].sum()
     return float(concordant / n_pairs)
 
 
@@ -142,29 +187,17 @@ def km_estimator(times, events) -> tuple[np.ndarray, np.ndarray]:
 
     `events` uses 1 = event occurred. Ties at one time point: all events are
     processed before censored cases leave the risk set. Returns (event_times,
-    survival) step-curve arrays.
+    survival) step-curve arrays. O(n log n) time, O(n) memory.
     """
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events)
+    times, events = _columns({"times": times}, {"events": events})
     if times.size == 0:
         raise ValueError("empty sample")
-    out_t, out_s = [], []
-    s = 1.0
-    for t in np.unique(times):
-        at = times == t
-        d = int(events[at].sum())
-        n_risk = int((times >= t).sum())
-        if d > 0:
-            s *= 1.0 - d / n_risk
-            out_t.append(float(t))
-            out_s.append(s)
-    return np.asarray(out_t), np.asarray(out_s)
-
-
-def _km_left(ts: np.ndarray, ss: np.ndarray, t: float) -> float:
-    """Left limit of a KM step curve at t (value just before t)."""
-    idx = np.searchsorted(ts, t, side="left")
-    return 1.0 if idx == 0 else float(ss[idx - 1])
+    uniq, inv, count = np.unique(times, return_inverse=True, return_counts=True)
+    d = np.bincount(inv[events == 1], minlength=uniq.size)
+    n_risk = times.size - np.cumsum(count) + count
+    keep = d > 0
+    # cumprod multiplies in order, as a running product would
+    return uniq[keep], np.cumprod(1.0 - d[keep] / n_risk[keep])
 
 
 def c_index_ipcw(risks, times, censor, tau: float | None = None) -> float:
@@ -172,32 +205,29 @@ def c_index_ipcw(risks, times, censor, tau: float | None = None) -> float:
 
     Pairs (i, j) with t_i < t_j, t_i < tau, i uncensored get weight
     1 / G(t_i-)^2 where G is the Kaplan-Meier estimate of the censoring
-    distribution. Defaults tau to the maximum uncensored time.
+    distribution. Defaults tau to the maximum uncensored time. Sort-based
+    (`_later_counts`): O(n log n) comparisons, O(n) memory.
     """
-    risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    censor = np.asarray(censor)
+    risks, times, censor = _columns({"risks": risks, "times": times},
+                                    {"censor": censor})
     if tau is None:
         unc = times[censor == 0]
         if unc.size == 0:
             raise UndefinedMetricError("no uncensored cases")
         tau = float(unc.max())
+    later, lower, equal = _later_counts(risks, times)
+    anchors = np.flatnonzero((censor == 0) & (times < tau) & (later > 0))
     g_t, g_s = km_estimator(times, censor)  # censoring distribution
-    num = 0.0
-    den = 0.0
-    for i in range(times.size):
-        if censor[i] != 0 or not times[i] < tau:
-            continue
-        comparable = times > times[i]
-        if not comparable.any():
-            continue
-        g = _km_left(g_t, g_s, times[i])
-        if g <= 0.0:
-            raise DegenerateWeightsError(f"G(t-) = 0 at t = {times[i]}")
-        w = 1.0 / (g * g)
-        den += w * comparable.sum()
-        num += w * ((risks[i] > risks[comparable]).sum()
-                    + 0.5 * (risks[i] == risks[comparable]).sum())
+    # G(t-): the curve's value before its first step at or after t
+    g = np.r_[1.0, g_s][np.searchsorted(g_t, times[anchors], side="left")]
+    if (g <= 0.0).any():
+        raise DegenerateWeightsError(
+            f"G(t-) = 0 at t = {times[anchors[np.argmax(g <= 0.0)]]}")
+    num = den = 0.0
+    for w, n_later, lo, eq in zip((1.0 / (g * g)).tolist(), later[anchors].tolist(),
+                                  lower[anchors].tolist(), equal[anchors].tolist()):
+        den += w * n_later
+        num += w * (lo + 0.5 * eq)
     if den == 0.0:
         raise UndefinedMetricError("no comparable pairs under truncation")
     return float(num / den)
@@ -211,24 +241,22 @@ def chi2_sf(x: float, df: int = 1) -> float:
 
 
 def log_rank_test(times_a, events_a, times_b, events_b) -> tuple[float, float]:
-    """Two-group log-rank test; returns (chi2, p) with 1 degree of freedom."""
-    times_a = np.asarray(times_a, dtype=np.float64)
-    times_b = np.asarray(times_b, dtype=np.float64)
-    events_a = np.asarray(events_a)
-    events_b = np.asarray(events_b)
+    """Two-group log-rank test; returns (chi2, p) with 1 degree of freedom.
+    O(n log n) time, O(n) memory."""
+    times_a, events_a = _columns({"times_a": times_a}, {"events_a": events_a})
+    times_b, events_b = _columns({"times_b": times_b}, {"events_b": events_b})
     if times_a.size == 0 or times_b.size == 0:
         raise ValueError("both groups must be nonempty")
-    all_times = np.concatenate([times_a, times_b])
-    all_events = np.concatenate([events_a, events_b])
-    observed_a = 0.0
-    expected_a = 0.0
-    variance = 0.0
-    for t in np.unique(all_times[all_events == 1]):
-        n_a = int((times_a >= t).sum())
-        n_b = int((times_b >= t).sum())
+    ev_a = np.sort(times_a[events_a == 1])
+    at, d_at = np.unique(np.r_[ev_a, times_b[events_b == 1]], return_counts=True)
+    n_a_at = times_a.size - np.searchsorted(np.sort(times_a), at)
+    n_b_at = times_b.size - np.searchsorted(np.sort(times_b), at)
+    d_a_at = np.searchsorted(ev_a, at, side="right") - np.searchsorted(ev_a, at)
+    observed_a = expected_a = variance = 0.0
+    # ascending time, one scalar at a time: np.sum would add pairwise
+    for n_a, n_b, d, d_a in zip(n_a_at.tolist(), n_b_at.tolist(), d_at.tolist(),
+                                d_a_at.tolist()):
         n = n_a + n_b
-        d = int(all_events[all_times == t].sum())
-        d_a = int(events_a[times_a == t].sum())
         observed_a += d_a
         expected_a += n_a * d / n
         if n > 1:

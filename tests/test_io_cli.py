@@ -118,6 +118,61 @@ class TestCheckpoint:
                               back.forward(case, 0)[0].data)
 
 
+    @pytest.fixture
+    def saved(self, stream, tmp_path):
+        model = build_model(stream, MethodConfig(seed=6, **TINY_KW))
+        save_model(model, tmp_path / "ckpt.npz")
+        return model, tmp_path / "ckpt.npz"
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_model(tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("keep", [0.0, 1e-4, 0.01, 0.25, 0.5, 0.9, 0.999])
+    def test_truncation_is_a_corrupt_file(self, saved, keep):
+        _, path = saved
+        blob = path.read_bytes()
+        path.write_bytes(blob[:int(keep * len(blob))])
+        with pytest.raises(CorruptFileError, match="checkpoint"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", [0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99,
+                                       0.9995])
+    def test_a_flipped_bit_is_caught_or_harmless(self, saved, where):
+        model, path = saved
+        blob = bytearray(path.read_bytes())
+        blob[int(where * len(blob))] ^= 0x10
+        path.write_bytes(bytes(blob))
+        try:
+            back = load_model(path)
+        except CorruptFileError:
+            return
+        a, b = model.get_state(), back.get_state()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize("meta", [None, b"not json", b"[1, 2]",
+                                      b'{"config": {"d_patch": 8}}',
+                                      b'{"config": {}, "task_ids": []}'])
+    def test_missing_or_garbled_meta(self, saved, meta):
+        _, path = saved
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != "meta"}
+        if meta is not None:
+            arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptFileError):
+            load_model(path)
+
+    def test_km_on_a_truncated_checkpoint_exits_2(self, saved, stream,
+                                                  tmp_path, capsys):
+        _, path = saved
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        save_stream(stream, tmp_path / "s")
+        assert main(["km", str(path), str(tmp_path / "s"), "0",
+                     str(tmp_path / "km.csv")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+
 class TestEstimator:
     def test_params_round_trip(self):
         est = ContinualSurvivalEstimator(method="er", epochs=3, seed=9)

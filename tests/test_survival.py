@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,8 +145,88 @@ def naive_c_index(risks, times, censor):
                 elif risks[i] == risks[j]:
                     num += 0.5
     if den == 0:
-        raise ZeroDivisionError
+        raise sv.UndefinedMetricError("no comparable pairs")
     return num / den
+
+
+def naive_km(times, events):
+    """Product limit by a pass over the distinct times, masks recounted at each."""
+    times, events = np.asarray(times, dtype=np.float64), np.asarray(events)
+    if times.size == 0:
+        raise ValueError("empty sample")
+    out_t, out_s, s = [], [], 1.0
+    for t in np.unique(times):
+        d = int(events[times == t].sum())
+        if d > 0:
+            s *= 1.0 - d / int((times >= t).sum())
+            out_t.append(float(t))
+            out_s.append(s)
+    return np.asarray(out_t), np.asarray(out_s)
+
+
+def naive_ipcw(risks, times, censor, tau=None):
+    """Uno's C by a double loop; G(t-) read off `naive_km` one step at a time."""
+    if tau is None:
+        if all(c != 0 for c in censor):
+            raise sv.UndefinedMetricError("no uncensored cases")
+        tau = max(t for t, c in zip(times, censor) if c == 0)
+    g_t, g_s = naive_km(times, censor)
+    num = den = 0.0
+    for i in range(len(times)):
+        if censor[i] != 0 or not times[i] < tau:
+            continue
+        g = 1.0
+        for t, s in zip(g_t, g_s):
+            if t < times[i]:
+                g = s
+        for j in range(len(times)):
+            if times[j] > times[i]:
+                den += 1.0 / g ** 2
+                num += (1.0 if risks[i] > risks[j] else
+                        0.5 if risks[i] == risks[j] else 0.0) / g ** 2
+    if den == 0.0:
+        raise sv.UndefinedMetricError("no comparable pairs under truncation")
+    return num / den
+
+
+def naive_log_rank(ta, ea, tb, eb):
+    """chi2 from per-time counts taken by scanning every case."""
+    a, b = list(zip(ta, ea)), list(zip(tb, eb))
+    obs = exp = var = 0.0
+    for t in sorted({t for t, e in a + b if e == 1}):
+        n_a = sum(1 for u, _ in a if u >= t)
+        n_b = sum(1 for u, _ in b if u >= t)
+        d_a = sum(1 for u, e in a if u == t and e == 1)
+        d = d_a + sum(1 for u, e in b if u == t and e == 1)
+        n = n_a + n_b
+        obs += d_a
+        exp += n_a * d / n
+        if n > 1:
+            var += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    if var == 0.0:
+        raise sv.UndefinedMetricError("log-rank variance is zero")
+    return (obs - exp) ** 2 / var
+
+
+def outcome(fn, *args):
+    """fn's value, or the type of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+@st.composite
+def tied_cohorts(draw):
+    """Up to 80 cases, times and risks rounded to 0-2 decimals (so many tie),
+    a censoring fraction anywhere in [0, 1]."""
+    n = draw(st.integers(0, 80))
+    frac = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    times = np.round(rng.exponential(2.0, n), draw(st.integers(0, 2)))
+    risks = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    censor = (rng.uniform(size=n) < frac).astype(np.int64)
+    return risks, times, censor
 
 
 class TestCIndex:
@@ -182,6 +263,116 @@ class TestCIndex:
             censor[0] = 0
         assert sv.c_index(risks, times, censor) == pytest.approx(
             naive_c_index(risks, times, censor), abs=1e-12)
+
+
+class TestSortedMatchesOracles:
+    """The sort-based routines against pairwise and sequential loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_cohorts())
+    def test_c_index_equal(self, cohort):
+        assert outcome(sv.c_index, *cohort) == outcome(naive_c_index, *cohort)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_cohorts(), st.none() | st.floats(0.0, 6.0))
+    def test_c_index_ipcw_within_1e12(self, cohort, tau):
+        got = outcome(sv.c_index_ipcw, *cohort, tau)
+        want = outcome(naive_ipcw, *cohort, tau)
+        if isinstance(want, float):
+            assert abs(got - want) <= 1e-12
+        else:
+            assert got is want
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_cohorts())
+    def test_km_equal(self, cohort):
+        _, times, censor = cohort
+        got = outcome(sv.km_estimator, times, 1 - censor)
+        want = outcome(naive_km, times, 1 - censor)
+        if isinstance(want, tuple):
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        else:
+            assert got is want
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_cohorts(), st.integers(1, 79))
+    def test_log_rank_equal(self, cohort, cut):
+        _, times, censor = cohort
+        if not 0 < cut < times.size:
+            return
+        args = (times[:cut], 1 - censor[:cut], times[cut:], 1 - censor[cut:])
+        got = outcome(sv.log_rank_test, *args)
+        want = outcome(naive_log_rank, *args)
+        if isinstance(got, tuple):
+            assert got == (want, sv.chi2_sf(want, 1))
+        else:
+            assert got is want
+
+
+@pytest.mark.parametrize("fn", [sv.c_index, sv.c_index_ipcw])
+def test_concordance_memory_stays_linear(fn):
+    # one n x n boolean mask would take n^2 bytes: 400 MB at this n
+    rng = np.random.default_rng(20)
+    n = 20_000
+    risks, times = rng.normal(size=n), rng.exponential(1.0, n)
+    censor = (rng.uniform(size=n) < 0.3).astype(np.int64)
+    tracemalloc.start()
+    try:
+        fn(risks, times, censor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+ROUTINES = {
+    "c_index": (sv.c_index, ("risks", "times", "censor")),
+    "c_index_ipcw": (sv.c_index_ipcw, ("risks", "times", "censor")),
+    "km_estimator": (sv.km_estimator, ("times", "events")),
+    "log_rank_test": (sv.log_rank_test,
+                      ("times_a", "events_a", "times_b", "events_b")),
+}
+
+
+def _valid_args(names):
+    return {name: ([0, 1, 1, 0] if name.startswith(("censor", "events"))
+                   else [0.5, 1.0, 2.0, 3.0]) for name in names}
+
+
+@pytest.mark.parametrize("routine", sorted(ROUTINES))
+class TestInputGuard:
+    def _rejects(self, routine, name, value):
+        fn, names = ROUTINES[routine]
+        args = _valid_args(names)
+        args[name] = value
+        with pytest.raises(sv.MetricInputError, match=name):
+            fn(*args.values())
+
+    def test_valid_inputs_accepted(self, routine):
+        fn, names = ROUTINES[routine]
+        fn(*_valid_args(names).values())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value(self, routine, bad):
+        for name in ROUTINES[routine][1]:
+            if not name.startswith(("censor", "events")):
+                self._rejects(routine, name, [0.5, bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
+    def test_flag_outside_zero_one(self, routine, bad):
+        for name in ROUTINES[routine][1]:
+            if name.startswith(("censor", "events")):
+                self._rejects(routine, name, [0, 1, bad, 0])
+
+    def test_not_one_dimensional(self, routine):
+        for name in ROUTINES[routine][1]:
+            self._rejects(routine, name, np.ones((2, 2)))
+            self._rejects(routine, name, 1.0)
+
+    def test_unequal_lengths(self, routine):
+        for name in ROUTINES[routine][1][1:]:
+            if name != "times_b":  # the second group may differ in size
+                self._rejects(routine, name, [0, 1, 0])
 
 
 class TestKM:
