@@ -1,22 +1,19 @@
-"""Binary feature-bag files and task-stream (de)serialization.
+"""Task files and task-stream (de)serialization.
 
-A stream directory holds one `.svb` file per task plus a `manifest.json`
-listing the task order. File layout (all little-endian):
+A stream directory holds `manifest.json` (version 2, the task order) and one
+uncompressed `.npz` task file per task with per-case `case_id`, `time`,
+`censored` and `n_patches`, every patch bag stacked in `patches` (f32), one
+row of side-by-side genomic groups per case in `groups` (f32), and the
+`group_widths`. Task files, replay buffers and checkpoints are all read
+through `read_npz`, so any damage raises `CorruptFileError`.
 
-    magic "SVBG" | version u8 | n_cases u32 | d_patch u32 |
-    n_groups u32 | group widths u32 x n_groups |
-    per case: id_len u16, id utf-8, time f64, censor u8,
-              n_patches u32, patch matrix f32, group vectors f32
-
-Features are stored as 32-bit floats and upcast to 64-bit on ingest; bin
-grids and labels are recomputed from the ingested times, so serialising and
-re-ingesting a stream is lossless.
+Features are upcast to 64-bit on ingest; bin grids and labels are recomputed
+from the ingested times, so serialising and re-ingesting a stream is lossless.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 import zipfile
 import zlib
 from pathlib import Path
@@ -25,12 +22,11 @@ import numpy as np
 
 from .data import CaseRecord, TaskStream, build_task
 
-_MAGIC = b"SVBG"
-_VERSION = 1
+_VERSION = 2  # the manifest's "version"; other versions are refused
 
 
 class CorruptFileError(ValueError):
-    """Bad magic, truncated payload, or malformed manifest or archive."""
+    """A damaged task file, buffer or checkpoint, or a malformed manifest."""
 
 
 # What reading a damaged .npz archive raises. RuntimeError covers zipfile's
@@ -47,6 +43,12 @@ def read_npz(path, what: str, read):
     opened before reading starts."""
     with open(path, "rb") as fh:
         try:
+            # np.savez writes no zip comment: an intact archive ends with its
+            # end-of-central-directory record (a shorter file fails the seek)
+            fh.seek(-22, 2)
+            if fh.read(4) != b"PK\x05\x06":
+                raise zipfile.BadZipFile("archive does not end with its "
+                                         "end-of-central-directory record")
             # the CRC pass covers bytes numpy would skip when a damaged array
             # header declares a smaller shape
             with zipfile.ZipFile(fh) as zf:
@@ -65,60 +67,49 @@ class DimensionMismatchError(ValueError):
     """Declared dimensions disagree with the payload."""
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptFileError(f"{path}: truncated (wanted {n} bytes, got {len(data)})")
-    return data
-
-
 def write_task_file(path, cases: list[CaseRecord]) -> None:
-    group_dims = tuple(g.size for g in cases[0].groups)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BII", _VERSION, len(cases), cases[0].patches.shape[1]))
-        fh.write(struct.pack("<I", len(group_dims)))
-        fh.write(struct.pack(f"<{len(group_dims)}I", *group_dims))
-        for c in cases:
-            if tuple(g.size for g in c.groups) != group_dims:
-                raise DimensionMismatchError(
-                    f"{path}: case {c.case_id} group widths differ")
-            cid = c.case_id.encode()
-            fh.write(struct.pack("<H", len(cid)))
-            fh.write(cid)
-            fh.write(struct.pack("<dBI", c.time, c.censored, c.patches.shape[0]))
-            fh.write(np.ascontiguousarray(c.patches, dtype="<f4").tobytes())
-            for g in c.groups:
-                fh.write(np.ascontiguousarray(g, dtype="<f4").tobytes())
+    """Write `cases` as an uncompressed `.npz` task file at exactly `path`."""
+    widths = [g.size for g in cases[0].groups]
+    for c in cases:
+        if [g.size for g in c.groups] != widths:
+            raise DimensionMismatchError(
+                f"{path}: case {c.case_id} group widths differ")
+    arrays = {
+        "case_id": np.array([c.case_id for c in cases], dtype=str),
+        "time": np.array([c.time for c in cases], dtype=np.float64),
+        "censored": np.array([c.censored for c in cases], dtype=np.uint8),
+        "n_patches": np.array([c.patches.shape[0] for c in cases], dtype=np.int64),
+        "patches": np.concatenate([c.patches for c in cases], dtype="<f4"),
+        "groups": np.array([np.concatenate(c.groups) for c in cases], dtype="<f4"),
+        "group_widths": np.array(widths, dtype=np.int64),
+    }
+    with open(path, "wb") as fh:  # a handle: numpy appends no suffix
+        np.savez(fh, **arrays)
 
 
 def read_task_file(path) -> list[CaseRecord]:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != _MAGIC:
-            raise CorruptFileError(f"{path}: bad magic header")
-        version, n_cases, d_patch = struct.unpack("<BII", _read_exact(fh, 9, path))
-        if version != _VERSION:
-            raise CorruptFileError(f"{path}: unsupported version {version}")
-        (n_groups,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        group_dims = struct.unpack(f"<{n_groups}I",
-                                   _read_exact(fh, 4 * n_groups, path))
-        cases = []
-        for _ in range(n_cases):
-            (idlen,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            cid = _read_exact(fh, idlen, path).decode()
-            time, censored, n_p = struct.unpack("<dBI", _read_exact(fh, 13, path))
-            patches = np.frombuffer(
-                _read_exact(fh, 4 * n_p * d_patch, path),
-                dtype="<f4").astype(np.float64).reshape(n_p, d_patch)
-            groups = tuple(
-                np.frombuffer(_read_exact(fh, 4 * w, path),
-                              dtype="<f4").astype(np.float64)
-                for w in group_dims)
-            cases.append(CaseRecord(cid, patches, groups, time, int(censored)))
-        if fh.read(1):
-            raise CorruptFileError(f"{path}: trailing bytes after payload")
-    return cases
+    """Read a `write_task_file` file; any damage raises `CorruptFileError`."""
+    return read_npz(path, "task file", _read)
+
+
+def _read(z) -> list[CaseRecord]:
+    ids, times = z["case_id"].tolist(), z["time"].tolist()
+    censored, counts = z["censored"].tolist(), z["n_patches"].tolist()
+    patches = z["patches"].astype(np.float64)
+    groups = z["groups"].astype(np.float64)
+    widths = z["group_widths"].tolist()
+    if not len(ids) == len(times) == len(censored) == len(counts) == len(groups):
+        raise ValueError("per-case members differ in length")
+    if min(counts, default=1) < 1 or sum(counts) != patches.shape[0]:
+        raise ValueError("n_patches do not cover the patch rows")
+    if sum(widths) != groups.shape[1]:
+        raise ValueError(f"group widths do not sum to {groups.shape[1]}")
+    rows = np.cumsum([0] + counts).tolist()
+    cols = np.cumsum([0] + widths).tolist()
+    return [CaseRecord(cid, patches[rows[i]:rows[i + 1]],
+                       tuple(groups[i, a:b] for a, b in zip(cols, cols[1:])),
+                       times[i], censored[i])
+            for i, cid in enumerate(ids)]
 
 
 def save_stream(stream: TaskStream, directory) -> None:
@@ -126,7 +117,7 @@ def save_stream(stream: TaskStream, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"version": _VERSION, "tasks": []}
     for task in stream.tasks:
-        fname = f"task_{task.task_id}.svb"
+        fname = f"task_{task.task_id}.npz"
         write_task_file(directory / fname, task.cases)
         manifest["tasks"].append({"task_id": task.task_id, "file": fname})
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -142,15 +133,25 @@ def ingest_stream(directory, n_bins: int = 4) -> TaskStream:
     if not manifest_path.exists():
         raise CorruptFileError(f"{directory}: missing manifest.json")
     try:
-        manifest = json.loads(manifest_path.read_text())
-        entries = manifest["tasks"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise CorruptFileError(f"{manifest_path}: malformed manifest: {exc}")
+        manifest = json.loads(manifest_path.read_bytes())
+        version = manifest["version"]
+        entries = [(e["task_id"], directory / e["file"]) for e in manifest["tasks"]]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise CorruptFileError(f"{manifest_path}: malformed manifest "
+                               f"({type(exc).__name__}: {exc})") from exc
+    if version != _VERSION:
+        raise CorruptFileError(
+            f"{manifest_path}: manifest version {version!r}, expected "
+            f"{_VERSION} (task files are .npz archives)")
+    if not entries:
+        raise CorruptFileError(f"{manifest_path}: lists no tasks")
     tasks = []
     d_patch = None
-    for entry in entries:
-        fpath = directory / entry["file"]
-        if not fpath.exists():
+    for task_id, fpath in entries:
+        if type(task_id) is not int:
+            raise CorruptFileError(
+                f"{manifest_path}: task_id {task_id!r} is not an integer")
+        if not fpath.is_file():
             raise CorruptFileError(f"{fpath}: listed in manifest but missing")
         cases = read_task_file(fpath)
         if not cases:
@@ -161,7 +162,7 @@ def ingest_stream(directory, n_bins: int = 4) -> TaskStream:
         elif d_patch != dp:
             raise DimensionMismatchError(
                 f"{fpath}: patch width {dp} differs from {d_patch}")
-        tasks.append(build_task(int(entry["task_id"]), cases, n_bins))
+        tasks.append(build_task(task_id, cases, n_bins))
     width = max(g.size for t in tasks for g in t.cases[0].groups)
     return TaskStream(tasks, d_patch, width)
 

@@ -24,7 +24,7 @@ from .bagio import CorruptFileError, DimensionMismatchError, ingest_stream, save
 from .checkpoint import load_model, save_model
 from .data import TaskStream
 from .estimator import ContinualSurvivalEstimator
-from .harness import collect_routing
+from .harness import METHODS, collect_routing
 from .reports import (aggregate_metrics, emit_km_csv, write_routing_csv,
                       write_run_reports)
 from .survival import UndefinedMetricError
@@ -64,8 +64,8 @@ def load_config(path) -> dict:
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
     _check_keys(cfg["source"], _SOURCE_KEYS, "source")
-    if not cfg["methods"] or not cfg["seeds"]:
-        raise ConfigError("need at least one method and one seed")
+    if not all(isinstance(cfg[k], list) and cfg[k] for k in ("methods", "seeds")):
+        raise ConfigError("methods and seeds must be nonempty lists")
     src_type = cfg["source"].get("type")
     if src_type not in ("synthetic", "directory"):
         raise ConfigError("source.type must be 'synthetic' or 'directory'")
@@ -75,6 +75,14 @@ def load_config(path) -> dict:
                     "source.generator")
     elif "path" not in cfg["source"]:
         raise ConfigError("directory source requires 'path'")
+    est_kwargs = {k: cfg[k] for k in _EST_KEYS if k in cfg}
+    for method in cfg["methods"]:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+        try:
+            ContinualSurvivalEstimator(method=method, **est_kwargs).method_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"method {method!r}: {exc}") from exc
     return cfg
 
 

@@ -13,7 +13,7 @@ frozen-feature storage, because buffer randomness lives on its own stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -204,12 +204,11 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
     method, loss_cfg = cfg.method, cfg.loss
     if method in ("finetune", "joint") or buffer is None or len(buffer) == 0:
         return current
+    if method == "er":  # fcr without the feature constraint
+        loss_cfg = replace(loss_cfg, alpha=0.0)
     if loss_cfg.alpha == 0.0 and loss_cfg.beta == 0.0:
         return current
     items = buffer.sample_replay(loss_cfg.replay_count, rng_buffer)
-    if method == "er":
-        return total_loss(current, ad.constant(0.0),
-                          replay_loss(model, items, cfg.surv), loss_cfg)
     if method == "derpp":
         distill = None
         for it in items:

@@ -187,4 +187,8 @@ class SurvivalModel:
         if set(params) != set(state):
             raise ValueError("state does not match model parameters")
         for name, p in params.items():
+            if state[name].shape != p.data.shape:
+                raise ValueError(f"parameter {name}: shape {state[name].shape} "
+                                 f"does not match the model's {p.data.shape}")
+        for name, p in params.items():
             p.data = state[name].copy()

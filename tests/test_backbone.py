@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,14 @@ class TestState:
         state.pop(next(iter(state)))
         with pytest.raises(ValueError):
             model.set_state(state)
+
+    def test_misshapen_parameter_rejected_before_any_is_set(self, model):
+        before = model.get_state()
+        state = model.get_state()
+        state["patch_embed.fc1.w"] = state["patch_embed.fc1.w"][:1]
+        shape = before["patch_embed.fc1.w"].shape
+        with pytest.raises(ValueError, match=r"patch_embed\.fc1\.w.*\(1, "
+                           + str(shape[1]) + r"\).*" + re.escape(str(shape))):
+            model.set_state(state)
+        after = model.get_state()
+        assert all(np.array_equal(before[k], after[k]) for k in before)

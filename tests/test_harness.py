@@ -289,6 +289,23 @@ class TestReductionChain:
         assert model_states_equal(degenerate_states["finetune"],
                                   degenerate_states["er"])
 
+    @staticmethod
+    def _er_state(stream, alpha, beta):
+        cfg = MethodConfig(method="er", epochs=2, seed=1,
+                           loss=CLLossConfig(alpha=alpha, beta=beta), **TINY_KW)
+        return run_sequence(cfg, stream).model.get_state()
+
+    def test_er_without_replay_weight_equals_finetune(self, stream,
+                                                      degenerate_states):
+        # er has no feature constraint: alpha alone must not build a replay
+        # term whose zero gradients would still move experts under AdamW
+        assert model_states_equal(self._er_state(stream, 0.5, 0.0),
+                                  degenerate_states["finetune"])
+
+    def test_er_ignores_alpha(self, stream):
+        assert model_states_equal(self._er_state(stream, 0.5, 0.5),
+                                  self._er_state(stream, 0.0, 0.5))
+
     def test_nonzero_weights_change_trajectory(self, stream):
         base = MethodConfig(method="fcr", epochs=1, seed=1,
                             loss=CLLossConfig(alpha=0.0, beta=0.0), **TINY_KW)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survstream.bagio import (CorruptFileError, DimensionMismatchError,
                               ingest_stream, read_task_file, save_stream,
@@ -27,7 +29,7 @@ def stream():
 
 class TestBagIO:
     def test_task_file_round_trip(self, stream, tmp_path):
-        path = tmp_path / "t.svb"
+        path = tmp_path / "t.npz"
         cases = stream.tasks[0].cases
         write_task_file(path, cases)
         back = read_task_file(path)
@@ -47,13 +49,13 @@ class TestBagIO:
         assert back.genomic_width == stream.genomic_width
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.svb"
+        path = tmp_path / "bad.npz"
         path.write_bytes(b"XXXX" + b"\x00" * 40)
         with pytest.raises(CorruptFileError):
             read_task_file(path)
 
     def test_truncated_file(self, stream, tmp_path):
-        path = tmp_path / "t.svb"
+        path = tmp_path / "t.npz"
         write_task_file(path, stream.tasks[0].cases)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
@@ -61,7 +63,7 @@ class TestBagIO:
             read_task_file(path)
 
     def test_trailing_bytes(self, stream, tmp_path):
-        path = tmp_path / "t.svb"
+        path = tmp_path / "t.npz"
         write_task_file(path, stream.tasks[0].cases)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CorruptFileError):
@@ -73,7 +75,7 @@ class TestBagIO:
 
     def test_manifest_lists_missing_file(self, stream, tmp_path):
         save_stream(stream, tmp_path / "s")
-        (tmp_path / "s" / "task_1.svb").unlink()
+        (tmp_path / "s" / "task_1.npz").unlink()
         with pytest.raises(CorruptFileError):
             ingest_stream(tmp_path / "s")
 
@@ -81,7 +83,7 @@ class TestBagIO:
         save_stream(stream, tmp_path / "s")
         other = generate_stream(GeneratorConfig(**{
             **GEN.__dict__, "d_patch": 5, "n_tasks": 1}))
-        write_task_file(tmp_path / "s" / "task_1.svb", other.tasks[0].cases)
+        write_task_file(tmp_path / "s" / "task_1.npz", other.tasks[0].cases)
         with pytest.raises(DimensionMismatchError):
             ingest_stream(tmp_path / "s")
 
@@ -92,7 +94,126 @@ class TestBagIO:
             groups=tuple(g[:2] for g in cases[1].groups),
             time=1.0, censored=0)
         with pytest.raises(DimensionMismatchError):
-            write_task_file(tmp_path / "bad.svb", [cases[0], bad])
+            write_task_file(tmp_path / "bad.npz", [cases[0], bad])
+
+
+def _case_fields(cases):
+    return [(c.case_id, c.time, type(c.time), c.censored, type(c.censored),
+             [(a.dtype, a.shape, a.tobytes()) for a in (c.patches, *c.groups)])
+            for c in cases]
+
+
+def _saved_task_file(directory, stream):
+    path = directory / "t.npz"
+    write_task_file(path, stream.tasks[0].cases[:3])
+    return path
+
+
+class TestTaskFileDamage:
+    def test_every_truncation_is_a_corrupt_file(self, stream, tmp_path):
+        blob = _saved_task_file(tmp_path, stream).read_bytes()
+        cut = tmp_path / "cut.npz"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(CorruptFileError, match="task file"):
+                read_task_file(cut)
+
+    def test_every_appended_byte_is_a_corrupt_file(self, stream, tmp_path):
+        path = _saved_task_file(tmp_path, stream)
+        blob = path.read_bytes()
+        for byte in range(256):
+            path.write_bytes(blob + bytes([byte]))
+            with pytest.raises(CorruptFileError, match="task file"):
+                read_task_file(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 7))
+    def test_a_flipped_bit_is_caught_or_harmless(self, stream, tmp_path_factory,
+                                                 where, bit):
+        path = _saved_task_file(tmp_path_factory.mktemp("flip"), stream)
+        original = _case_fields(stream.tasks[0].cases[:3])
+        blob = bytearray(path.read_bytes())
+        blob[int(where * len(blob))] ^= 1 << bit
+        path.write_bytes(bytes(blob))
+        try:
+            back = read_task_file(path)
+        except CorruptFileError:
+            return
+        assert _case_fields(back) == original
+
+    @pytest.mark.parametrize("n_patches", [[0, 3, 3], [2, 3, 3], [3, 3]])
+    def test_patch_counts_must_cover_the_patches(self, stream, tmp_path,
+                                                 n_patches):
+        path = _saved_task_file(tmp_path, stream)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["patches"] = arrays["patches"][:6]
+        arrays["n_patches"] = np.array(n_patches, dtype=np.int64)
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptFileError):
+            read_task_file(path)
+
+    def test_group_widths_must_sum_to_the_columns(self, stream, tmp_path):
+        path = _saved_task_file(tmp_path, stream)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["group_widths"] = arrays["group_widths"] + 1
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptFileError, match="group widths"):
+            read_task_file(path)
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _entry(task_id=0, file="task_0.npz"):
+    return {"task_id": task_id, "file": file}
+
+
+class TestManifest:
+    EDITS = {
+        "entry without file": lambda m: {**m, "tasks": [{"task_id": 0}]},
+        "tasks not a list": lambda m: {**m, "tasks": 5},
+        "task_id a string": lambda m: {**m, "tasks": [_entry("0")]},
+        "task_id a float": lambda m: {**m, "tasks": [_entry(0.5)]},
+        "task_id a bool": lambda m: {**m, "tasks": [_entry(True)]},
+        "file not a string": lambda m: {**m, "tasks": [_entry(file=0)]},
+        "no tasks": lambda m: {**m, "tasks": []},
+        "not an object": lambda m: [m],
+        "no version": lambda m: {"tasks": m["tasks"]},
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_malformed_manifest_is_a_corrupt_file(self, stream, tmp_path,
+                                                  capsys, edit):
+        save_stream(stream, tmp_path / "s")
+        _edit_manifest(tmp_path / "s", self.EDITS[edit])
+        with pytest.raises(CorruptFileError, match="manifest"):
+            ingest_stream(tmp_path / "s")
+        assert main(["ingest-check", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_stream_files_are_npz_with_manifest_version_2(self, stream,
+                                                          tmp_path):
+        save_stream(stream, tmp_path / "s")
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest == {"version": 2, "tasks": [
+            {"task_id": 0, "file": "task_0.npz"},
+            {"task_id": 1, "file": "task_1.npz"}]}
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "manifest.json", "task_0.npz", "task_1.npz"]
+
+    def test_an_old_svb_stream_names_its_version(self, tmp_path, capsys):
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "task_0.svb").write_bytes(b"SVBG\x01" + b"\x00" * 20)
+        (tmp_path / "s" / "manifest.json").write_text(json.dumps(
+            {"version": 1, "tasks": [{"task_id": 0, "file": "task_0.svb"}]}))
+        with pytest.raises(CorruptFileError, match="manifest version 1"):
+            ingest_stream(tmp_path / "s")
+        assert main(["ingest-check", str(tmp_path / "s")]) == 2
+        assert "manifest version 1" in capsys.readouterr().err
 
 
 class TestCheckpoint:
@@ -162,6 +283,19 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(CorruptFileError):
             load_model(path)
+
+    def test_misshapen_parameter_is_a_corrupt_file(self, saved, stream,
+                                                   tmp_path):
+        _, path = saved
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["param/patch_embed.fc1.w"] = arrays["param/patch_embed.fc1.w"][:1]
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptFileError, match=r"patch_embed\.fc1\.w"):
+            load_model(path)
+        save_stream(stream, tmp_path / "s")
+        assert main(["km", str(path), str(tmp_path / "s"), "0",
+                     str(tmp_path / "km.csv")]) == 2
 
     def test_km_on_a_truncated_checkpoint_exits_2(self, saved, stream,
                                                   tmp_path, capsys):
@@ -271,6 +405,26 @@ class TestConfig:
             load_config(path)
 
 
+class TestConfigValues:
+    BAD = {"unknown method": {"methods": ["bogus"]},
+           "method not a list": {"methods": "fcr"},
+           "negative epochs": {"epochs": -1},
+           "negative alpha": {"alpha": -1},
+           "zero replay_count": {"replay_count": 0},
+           "epochs not a number": {"epochs": "many"}}
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejected_as_config_error(self, tmp_path, case):
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, **self.BAD[case]))
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_run_exits_1_before_writing_output(self, tmp_path, capsys, case):
+        assert main(["run", str(write_config(tmp_path, **self.BAD[case]))]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+
 class TestCLI:
     def test_run_writes_reports(self, tmp_path):
         path = write_config(tmp_path)
@@ -308,8 +462,8 @@ class TestCLI:
 
     def test_ingest_check_corrupt_exit_code(self, tmp_path, stream):
         save_stream(stream, tmp_path / "s")
-        blob = (tmp_path / "s" / "task_0.svb").read_bytes()
-        (tmp_path / "s" / "task_0.svb").write_bytes(blob[:10])
+        blob = (tmp_path / "s" / "task_0.npz").read_bytes()
+        (tmp_path / "s" / "task_0.npz").write_bytes(blob[:10])
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
 
     def test_km_and_routing_verbs(self, tmp_path, stream):
