@@ -8,6 +8,7 @@ gradient is checkable against central finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Mapping
 
@@ -26,6 +27,26 @@ class DomainError(ValueError):
 
 class EmptySupportError(ValueError):
     """Softmax over a fully masked (all -inf) row."""
+
+
+class NoGradError(ValueError):
+    """`backward` called inside `no_grad`, where nothing is recorded."""
+
+
+_recording = True  # False inside `no_grad`
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward passes inside record no tape: every result has
+    requires_grad=False, no parents and no backward. Nestable; the previous
+    state is restored on exit, also when the body raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -64,7 +85,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...],
             backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor.__new__(Tensor)  # data is rank-2 float64: skip __init__
     out.data, out.grad = data, None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out._parents = parents if out.requires_grad else ()
     out._backward = backward if out.requires_grad else None
     return out
@@ -211,20 +232,25 @@ def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax with -inf mask sentinels.
 
     Masked entries are excluded from the max subtraction and map to exactly 0
-    in the output. A fully masked row is an error.
+    in the output. A fully masked row is an error. An input without -inf
+    skips the masking. Only -inf masks: a NaN or +inf makes its row NaN.
     """
     x = a.data
-    finite = np.isfinite(x)
-    if not finite.any(axis=1).all():
-        raise EmptySupportError("softmax row with all entries masked")
-    m = np.where(finite, x, -np.inf).max(axis=1, keepdims=True)
-    e = np.where(finite, np.exp(np.where(finite, x - m, 0.0)), 0.0)
+    keep = x != NEG_INF
+    if keep.all():
+        keep = None
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+    else:
+        if not keep.any(axis=1).all():
+            raise EmptySupportError("softmax row with all entries masked")
+        m = np.where(keep, x, -np.inf).max(axis=1, keepdims=True)
+        e = np.where(keep, np.exp(np.where(keep, x - m, 0.0)), 0.0)
     out = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=1, keepdims=True)
         ga = out * (g - dot)
-        _accum(a, np.where(finite, ga, 0.0), owned=True)
+        _accum(a, ga if keep is None else np.where(keep, ga, 0.0), owned=True)
 
     return _result(out, (a,), backward)
 
@@ -366,6 +392,8 @@ def backward(loss: Tensor, params: Mapping[str, Tensor] | None = None
     Accumulates .grad on every reachable tensor that requires one. When `params` is given, returns a name -> gradient map with zeros
     for parameters the loss does not reach.
     """
+    if not _recording:
+        raise NoGradError("backward inside no_grad: the forward recorded no tape")
     if loss.data.size != 1:
         raise ShapeError("backward requires a scalar loss")
     order = _topo(loss)
@@ -387,24 +415,25 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor
 
     `loss_fn` rebuilds the graph from the current parameter values on each
     call. Error is |analytic - fd| / max(1, |analytic|), maximised over every
-    entry of every parameter.
+    entry of every parameter. The probes run under `no_grad`.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     analytic = backward(loss_fn(), params)
     worst = 0.0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        g = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = loss_fn().item()
-            flat[i] = orig - eps
-            lo = loss_fn().item()
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * eps)
-            err = abs(g[i] - fd) / max(1.0, abs(g[i]))
-            if err > worst:
-                worst = err
+    with no_grad():
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            g = analytic[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = loss_fn().item()
+                flat[i] = orig - eps
+                lo = loss_fn().item()
+                flat[i] = orig
+                fd = (hi - lo) / (2.0 * eps)
+                err = abs(g[i] - fd) / max(1.0, abs(g[i]))
+                if err > worst:
+                    worst = err
     return worst

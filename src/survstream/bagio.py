@@ -145,12 +145,18 @@ def ingest_stream(directory, n_bins: int = 4) -> TaskStream:
             f"{_VERSION} (task files are .npz archives)")
     if not entries:
         raise CorruptFileError(f"{manifest_path}: lists no tasks")
-    tasks = []
-    d_patch = None
-    for task_id, fpath in entries:
+    seen = set()
+    for task_id, _ in entries:
         if type(task_id) is not int:
             raise CorruptFileError(
                 f"{manifest_path}: task_id {task_id!r} is not an integer")
+        if task_id in seen:
+            raise CorruptFileError(
+                f"{manifest_path}: task_id {task_id} is listed more than once")
+        seen.add(task_id)
+    tasks = []
+    d_patch = None
+    for task_id, fpath in entries:
         if not fpath.is_file():
             raise CorruptFileError(f"{fpath}: listed in manifest but missing")
         cases = read_task_file(fpath)

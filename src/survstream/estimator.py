@@ -13,6 +13,7 @@ import inspect
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import CaseRecord, TaskStream
 from .fcr import CLLossConfig
 from .harness import MethodConfig, SequenceResult, run_sequence
@@ -73,7 +74,8 @@ class ContinualSurvivalEstimator:
 
     def predict_hazard(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
         model = self._model()
-        out = [model.forward(c, task_id)[0].data.reshape(-1) for c in cases]
+        with ad.no_grad():
+            out = [model.forward(c, task_id)[0].data.reshape(-1) for c in cases]
         return np.asarray(out)
 
     def predict_risk(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:

@@ -13,6 +13,7 @@ frozen-feature storage, because buffer randomness lives on its own stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +53,10 @@ class MethodConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epochs < 0 or self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("rates and epochs must be nonnegative")
+
+
+class NonFiniteLossError(ValueError):
+    """A training step's loss is NaN or infinite."""
 
 
 class AdamW:
@@ -174,9 +179,10 @@ def _shuffle_rng(seed: int, task_id: int, epoch: int) -> np.random.Generator:
 def _evaluate_risks(model: SurvivalModel, task: TaskData,
                     indices: np.ndarray) -> np.ndarray:
     risks = np.empty(indices.size)
-    for j, i in enumerate(indices):
-        hazards, _, _, _ = model.forward(task.cases[i], task.task_id)
-        risks[j] = risk_score(hazards.data.reshape(-1))
+    with ad.no_grad():
+        for j, i in enumerate(indices):
+            hazards, _, _, _ = model.forward(task.cases[i], task.task_id)
+            risks[j] = risk_score(hazards.data.reshape(-1))
     return risks
 
 
@@ -190,8 +196,9 @@ def _store_case(method: str, model: SurvivalModel, buffer: ReplayBuffer,
     if method == "fcr":
         item = ReplayItem(case, task_id, *model.feature_triple(case, task_id))
     else:  # derpp
-        _, _, _, f_f = model.forward(case, task_id)
-        logits = model.heads[task_id](f_f).data.copy()
+        with ad.no_grad():
+            _, _, _, f_f = model.forward(case, task_id)
+            logits = model.heads[task_id](f_f).data.copy()
         item = ReplayItem(case, task_id, zeros, zeros, zeros, logits=logits)
     buffer.items[slot] = item
 
@@ -235,7 +242,8 @@ def _run_epochs(model: SurvivalModel, cfg: MethodConfig,
     `epoch_order(epoch)` lists the epoch's (task_id, case) steps and
     `validate()` scores the model after each epoch. Each step stores its
     case in `buffer` when one is given. Ties in validation go to the
-    earliest epoch; zero epochs returns the initial parameters.
+    earliest epoch; zero epochs returns the initial parameters. A NaN or
+    infinite loss raises `NonFiniteLossError` before it touches a parameter.
     """
     opt = AdamW(trainable, cfg.learning_rate, cfg.weight_decay)
     best_state = model.get_state()
@@ -244,7 +252,12 @@ def _run_epochs(model: SurvivalModel, cfg: MethodConfig,
         losses = []
         for task_id, case in epoch_order(epoch):
             loss = _step_loss(cfg, model, case, task_id, buffer, rng_buffer)
-            losses.append(loss.item())
+            value = loss.item()
+            if not math.isfinite(value):
+                raise NonFiniteLossError(
+                    f"{cfg.method}: task {task_id}, epoch {epoch}, case "
+                    f"{case.case_id!r}: loss is {value}")
+            losses.append(value)
             ad.backward(loss)
             grads = {}
             for name, p in trainable.items():
@@ -359,17 +372,18 @@ def collect_routing(model: SurvivalModel, stream: TaskStream, splits
     rows: list[tuple[int, str, int, float]] = []
     for task, (_, va) in zip(stream.tasks, splits):
         site_inputs = {"patch": [], "genomic": [], "fusion": []}
-        for i in va:
-            p, g = model._inputs(task.cases[i])
-            # pooled vectors before each mixture site
-            pooled_p = model._pool_patches(p, g).data
-            pooled_g = model._pool_genomics(g, p).data
-            f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
-            f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
-            site_inputs["patch"].append(pooled_p.reshape(-1))
-            site_inputs["genomic"].append(pooled_g.reshape(-1))
-            site_inputs["fusion"].append(
-                np.concatenate([f_p.data, f_g.data], axis=1).reshape(-1))
+        with ad.no_grad():
+            for i in va:
+                p, g = model._inputs(task.cases[i])
+                # pooled vectors before each mixture site
+                pooled_p = model._pool_patches(p, g).data
+                pooled_g = model._pool_genomics(g, p).data
+                f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
+                f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
+                site_inputs["patch"].append(pooled_p.reshape(-1))
+                site_inputs["genomic"].append(pooled_g.reshape(-1))
+                site_inputs["fusion"].append(
+                    np.concatenate([f_p.data, f_g.data], axis=1).reshape(-1))
         for site_name, site in (("patch", model.moe_patch),
                                 ("genomic", model.moe_gen),
                                 ("fusion", model.moe_fuse)):

@@ -138,7 +138,8 @@ class SurvivalModel:
     def feature_triple(self, case: CaseRecord, task_id: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detached (f_patch, f_genomic, f_fused) values for buffer storage."""
-        _, f_p, f_g, f_f = self.forward(case, task_id)
+        with ad.no_grad():
+            _, f_p, f_g, f_f = self.forward(case, task_id)
         return f_p.data.copy(), f_g.data.copy(), f_f.data.copy()
 
     # ----------------------------------------------------------- parameters

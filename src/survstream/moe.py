@@ -36,13 +36,9 @@ class GatingResult:
     weights: np.ndarray  # (n_experts,), zero off-support, sums to 1
 
 
-def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
-    """Shared expert plus the k_top largest remaining logits.
-
-    Ties are broken toward the lowest expert index. Non-selected logits are
-    masked to -inf before the softmax, so their weights are exactly zero.
-    """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
+def _select(logits: np.ndarray, k_top: int, shared_idx: int) -> frozenset[int]:
+    """Shared expert plus the k_top largest remaining logits; ties go to the
+    lowest expert index."""
     n = logits.size
     if k_top + 1 > n:
         raise ValueError(f"k_top={k_top} + shared needs more than {n} experts")
@@ -50,7 +46,18 @@ def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
     rest = [i for i in range(n) if i != shared_idx]
     # stable sort on negated logits: equal logits keep ascending index order
     order = sorted(rest, key=lambda i: (-vals[i], i))
-    selected = frozenset(order[:k_top]) | {shared_idx}
+    return frozenset(order[:k_top]) | {shared_idx}
+
+
+def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
+    """Shared expert plus the k_top largest remaining logits.
+
+    Ties are broken toward the lowest expert index. Non-selected logits are
+    masked to -inf before the softmax, so their weights are exactly zero.
+    """
+    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
+    selected = _select(logits, k_top, shared_idx)
+    n = logits.size
     masked = np.where([i in selected for i in range(n)], logits, -np.inf)
     m = masked[np.isfinite(masked)].max()
     e = np.where(np.isfinite(masked), np.exp(np.where(np.isfinite(masked), masked - m, 0.0)), 0.0)
@@ -101,12 +108,13 @@ class MoEModule:
         if task_id not in self.routers:
             raise UnknownTaskError(task_id)
         logits = self.routers[task_id](x)
-        gating = topk_s_select(logits.data, self.k_top, self.shared_idx)
-        mask = np.where([i in gating.selected for i in range(self.n_experts)],
+        # the selection only: ad.softmax below makes the weights
+        selected = _select(logits.data.reshape(-1), self.k_top, self.shared_idx)
+        mask = np.where([i in selected for i in range(self.n_experts)],
                         0.0, -np.inf).reshape(1, -1)
         weights = ad.softmax(ad.add(logits, ad.constant(mask)))
         mix = None
-        for i in sorted(gating.selected):
+        for i in sorted(selected):
             term = ad.mul(ad.col(weights, i), self.experts[i](x))
             mix = term if mix is None else ad.add(mix, term)
         if self.mode == "append":

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import TaskData
 from .harness import SequenceResult, average_on_trained
 from .model import SurvivalModel
@@ -27,8 +28,9 @@ def emit_km_csv(model: SurvivalModel, task: TaskData, out_path) -> tuple[float, 
     log-rank chi2 / p and the significance flag repeated on each row.
     Returns (chi2, p).
     """
-    risks = np.array([risk_score(model.forward(c, task.task_id)[0].data.reshape(-1))
-                      for c in task.cases])
+    with ad.no_grad():
+        risks = np.array([risk_score(model.forward(c, task.task_id)[0].data.reshape(-1))
+                          for c in task.cases])
     threshold = risks.mean()
     high = risks > threshold
     if not high.any() or high.all():

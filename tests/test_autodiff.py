@@ -91,6 +91,31 @@ class TestSoftmax:
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) < 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
+           st.lists(st.floats(-1, 1), min_size=6, max_size=6))
+    def test_unmasked_input_matches_the_masked_path(self, vals, upstream):
+        # a row without -inf skips the masking; an appended masked column
+        # sends the same values through it, bit for bit, gradients included
+        n = len(vals)
+        x = ad.Tensor([vals], requires_grad=True)
+        xm = ad.Tensor([vals + [-math.inf]], requires_grad=True)
+        out, outm = ad.softmax(x), ad.softmax(xm)
+        assert np.array_equal(out.data, outm.data[:, :n])
+        assert outm.data[0, n] == 0.0
+        g = np.array([upstream[:n]])
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(ad.sum_all(ad.mul(outm, ad.constant(np.append(g, 0.0)))))
+        assert np.array_equal(x.grad, xm.grad[:, :n]) and xm.grad[0, n] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_only_minus_inf_masks(self, bad):
+        # a NaN or +inf is not a mask: the row turns NaN, so a NaN input
+        # reaches the loss instead of being dropped from the attention
+        with np.errstate(invalid="ignore"):
+            out = ad.softmax(ad.constant([[1.0, bad, -math.inf]])).data
+        assert np.isnan(out[0, :2]).any()
+
 
 class TestBackward:
     def test_linear_gradient_replicates_input(self):
@@ -230,3 +255,54 @@ class TestFusedLinear:
         c = ad.constant(self.x.data)
         ad.backward(ad.sum_all(ad.linear(c, self.w, self.b)))
         assert c.grad is None and self.w.grad is not None
+
+
+class TestNoGrad:
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.x = ad.constant(rng.normal(size=(3, 4)))
+        self.w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        self.b = ad.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+
+    def forward(self):
+        return ad.softmax(ad.tanh(ad.linear(self.x, self.w, self.b)))
+
+    def test_same_values_and_no_tape(self):
+        taped = self.forward()
+        with ad.no_grad():
+            free = self.forward()
+        assert np.array_equal(free.data, taped.data)
+        assert taped.requires_grad and taped._parents
+        assert not free.requires_grad
+        assert free._parents == () and free._backward is None
+
+    def test_nesting_restores_the_outer_state(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not self.forward().requires_grad
+            assert not self.forward().requires_grad
+        assert self.forward().requires_grad
+
+    def test_an_exception_restores_recording(self):
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        loss = ad.sum_all(self.forward())
+        assert loss.requires_grad
+        ad.backward(loss)
+        assert self.w.grad is not None
+
+    def test_backward_inside_raises_a_typed_error(self):
+        loss = ad.sum_all(ad.square(self.forward()))  # recorded outside
+        with ad.no_grad():
+            with pytest.raises(ad.NoGradError, match="no_grad"):
+                ad.backward(loss, {"w": self.w})
+        assert self.w.grad is None
+        assert issubclass(ad.NoGradError, ValueError)
+
+    def test_finite_diff_probes_leave_recording_on(self):
+        params = {"w": self.w, "b": self.b}
+        err = ad.finite_diff_check(
+            lambda: ad.sum_all(ad.square(self.forward())), params, eps=1e-6)
+        assert err < 1e-6
+        assert self.forward().requires_grad

@@ -111,6 +111,23 @@ class TestForward:
         f_b = model.encode_patches(altered, 0).data
         assert not np.allclose(f_a, f_b)
 
+    def test_no_grad_forward_equals_the_taped_forward(self, model):
+        rng = np.random.default_rng(9)
+        # random weights everywhere, so the append sites are not the identity
+        model.set_state({k: rng.normal(size=v.shape) * 0.5
+                         for k, v in model.get_state().items()})
+        for n in (1, 4, 9):
+            case = make_case(rng, n_patches=n)
+            taped = model.forward(case, 0)
+            with ad.no_grad():
+                free = model.forward(case, 0)
+            for t, f in zip(taped, free):
+                assert np.array_equal(f.data, t.data)
+                assert t.requires_grad and not f.requires_grad
+            triple = model.feature_triple(case, 0)
+            assert all(np.array_equal(a, t.data)
+                       for a, t in zip(triple, taped[1:]))
+
 
 class TestTasks:
     def test_add_task_registers_everything(self, model):

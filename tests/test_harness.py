@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,24 @@ class TestTrainTask:
                        np.random.default_rng(0))
             states.append(model.get_state())
         assert model_states_equal(*states)
+
+    @pytest.mark.parametrize("method", ["finetune", "fcr"])
+    def test_a_nan_loss_names_its_case_before_any_update(self, stream, method):
+        cfg = MethodConfig(method=method, epochs=1, seed=0, **TINY_KW)
+        model = build_model(stream, cfg)
+        before = model.get_state()
+        task = stream.tasks[1]
+        patches = task.cases[4].patches.copy()
+        patches[1, 2] = np.nan
+        cases = list(task.cases)
+        cases[4] = replace(cases[4], patches=patches)
+        with pytest.raises(harness.NonFiniteLossError) as err:
+            train_task(model, replace(task, cases=cases), cfg, np.array([4]),
+                       np.arange(5), ReplayBuffer(4), np.random.default_rng(0))
+        assert str(err.value) == (f"{method}: task 1, epoch 0, case "
+                                  f"{cases[4].case_id!r}: loss is nan")
+        assert model_states_equal(model.get_state(), before)
+        assert all(p.grad is None for p in model.parameters().values())
 
     def test_curves_recorded(self, stream):
         cfg = MethodConfig(epochs=2, seed=0, **TINY_KW)

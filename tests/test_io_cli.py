@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survstream.bagio import (CorruptFileError, DimensionMismatchError,
-                              ingest_stream, read_task_file, save_stream,
-                              streams_equal, write_task_file)
+                              ingest_stream, read_npz, read_task_file,
+                              save_stream, streams_equal, write_task_file)
 from survstream.checkpoint import load_model, save_model
 from survstream.cli import (_RUN_KEYS, ConfigError, load_config, main,
                             run_experiment)
+from survstream.data import TaskStream
 from survstream.estimator import ContinualSurvivalEstimator, NotFittedError
 from survstream.fcr import ReplayBuffer
 from survstream.harness import MethodConfig, build_model
-from survstream.synthdata import GeneratorConfig, generate_stream
+from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
 
 GEN = GeneratorConfig(n_tasks=2, cases_per_task=60, n_patches=(3, 6),
                       d_patch=8, group_dims=(5, 4, 3, 6, 2, 4), seed=0)
@@ -153,6 +155,22 @@ class TestTaskFileDamage:
         with pytest.raises(CorruptFileError):
             read_task_file(path)
 
+    def test_a_shrunk_header_with_a_stale_crc_is_a_corrupt_file(self,
+                                                                 tmp_path):
+        # numpy reads only the bytes a member's header declares, and zipfile
+        # checks a CRC only at a member's end (it reads 4 KiB ahead): only
+        # the CRC pass sees a header shrunk by more than that
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, a=np.arange(4096.0))
+        blob = path.read_bytes()
+        assert blob.count(b"'shape': (4096,)") == 1
+        path.write_bytes(blob.replace(b"'shape': (4096,)", b"'shape': (1024,)"))
+        with np.load(path) as z:
+            assert np.array_equal(z["a"], np.arange(1024.0))
+        with pytest.raises(CorruptFileError, match="bad CRC in member a.npy"):
+            read_npz(path, "archive", lambda z: z["a"])
+
     def test_group_widths_must_sum_to_the_columns(self, stream, tmp_path):
         path = _saved_task_file(tmp_path, stream)
         with np.load(path) as z:
@@ -205,6 +223,20 @@ class TestManifest:
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
             "manifest.json", "task_0.npz", "task_1.npz"]
 
+    def test_a_repeated_task_id_is_refused_before_any_task_file_is_read(
+            self, stream, tmp_path, capsys):
+        save_stream(stream, tmp_path / "s")
+        _edit_manifest(tmp_path / "s", lambda m: {**m, "tasks": [
+            _entry(0), _entry(1, "task_1.npz"), _entry(0, "task_1.npz")]})
+        for name in ("task_0.npz", "task_1.npz"):  # unreadable if read
+            (tmp_path / "s" / name).write_bytes(b"not an archive")
+        with pytest.raises(CorruptFileError,
+                           match="task_id 0 is listed more than once"):
+            ingest_stream(tmp_path / "s")
+        assert main(["ingest-check", str(tmp_path / "s")]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "task_id 0 is listed more than once" in out.err
+
     def test_an_old_svb_stream_names_its_version(self, tmp_path, capsys):
         (tmp_path / "s").mkdir()
         (tmp_path / "s" / "task_0.svb").write_bytes(b"SVBG\x01" + b"\x00" * 20)
@@ -214,6 +246,19 @@ class TestManifest:
             ingest_stream(tmp_path / "s")
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
         assert "manifest version 1" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(stream, tmp_path_factory):
+    model = build_model(stream, MethodConfig(seed=6, **TINY_KW))
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.npz"
+    save_model(model, path)
+    return model, path
+
+
+def _state_bytes(model):
+    return {k: (v.dtype, v.shape, v.tobytes())
+            for k, v in model.get_state().items()}
 
 
 class TestCheckpoint:
@@ -270,6 +315,27 @@ class TestCheckpoint:
             return
         a, b = model.get_state(), back.get_state()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(-1, 7))
+    def test_any_cut_or_bit_flip_is_caught_or_harmless(self, checkpoint_file,
+                                                       where, bit):
+        # bit -1 cuts the file at `where`; 0-7 flips that bit of the byte there
+        model, path = checkpoint_file
+        blob = bytearray(path.read_bytes())
+        at = int(where * len(blob))
+        if bit < 0:
+            del blob[at:]
+        else:
+            blob[at] ^= 1 << bit
+        damaged = path.with_name("damaged.npz")
+        damaged.write_bytes(bytes(blob))
+        try:
+            back = load_model(damaged)
+        except CorruptFileError:
+            return
+        assert back.cfg == model.cfg and back.task_ids == model.task_ids
+        assert _state_bytes(back) == _state_bytes(model)
 
     @pytest.mark.parametrize("meta", [None, b"not json", b"[1, 2]",
                                       b'{"config": {"d_patch": 8}}',
@@ -489,6 +555,23 @@ class TestCLI:
         # each site selects k_top + 1 experts per case
         assert all(abs(v - (TINY_KW["k_top"] + 1)) < 1e-9
                    for v in props.values())
+
+    def test_run_on_a_nan_training_case_exits_2_naming_it(self, tmp_path,
+                                                          stream, capsys):
+        task = stream.tasks[0]
+        train_idx, _ = split_folds(task, 5, 0)[0]
+        bad = task.cases[train_idx[0]]
+        patches = bad.patches.copy()
+        patches[0, 0] = np.nan
+        cases = [replace(c, patches=patches) if c is bad else c
+                 for c in task.cases]
+        save_stream(TaskStream([replace(task, cases=cases), stream.tasks[1]],
+                               stream.d_patch, stream.genomic_width),
+                    tmp_path / "s")
+        assert main(["run", str(write_config(tmp_path, tmp_path / "s"))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: finetune: task 0, epoch 0, case "
+                              f"{bad.case_id!r}: loss is nan")
 
     def test_km_missing_task_exit_code(self, tmp_path):
         path = write_config(tmp_path)

@@ -53,6 +53,25 @@ class TestTopKSSelect:
         assert abs(g.weights.sum() - 1.0) < 1e-12
         assert (g.weights >= 0.0).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-30, 30).map(lambda v: round(v, 1)),
+                    min_size=3, max_size=10),
+           st.integers(1, 3), st.data())
+    def test_selection_and_weights_match_a_reference(self, logits, k_top,
+                                                     data):
+        # rounded logits make ties common; they go to the lowest index
+        n = len(logits)
+        k_top = min(k_top, n - 1)
+        shared = data.draw(st.integers(0, n - 1))
+        x = np.array(logits)
+        rest = [i for i in np.lexsort((np.arange(n), -x)) if i != shared]
+        selected = sorted(rest[:k_top] + [shared])
+        e = np.zeros(n)
+        e[selected] = np.exp(x[selected] - x[selected].max())
+        g = topk_s_select(logits, k_top=k_top, shared_idx=shared)
+        assert sorted(g.selected) == selected
+        assert np.array_equal(g.weights, e / e.sum())
+
 
 @pytest.fixture
 def append_module():
