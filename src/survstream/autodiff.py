@@ -232,25 +232,20 @@ def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax with -inf mask sentinels.
 
     Masked entries are excluded from the max subtraction and map to exactly 0
-    in the output. A fully masked row is an error. An input without -inf
-    skips the masking. Only -inf masks: a NaN or +inf makes its row NaN.
+    in the output (exp(-inf - m) is 0). A fully masked row is an error. Only
+    -inf masks: a NaN or +inf makes its row NaN.
     """
     x = a.data
-    keep = x != NEG_INF
-    if keep.all():
-        keep = None
-        e = np.exp(x - x.max(axis=1, keepdims=True))
-    else:
-        if not keep.any(axis=1).all():
-            raise EmptySupportError("softmax row with all entries masked")
-        m = np.where(keep, x, -np.inf).max(axis=1, keepdims=True)
-        e = np.where(keep, np.exp(np.where(keep, x - m, 0.0)), 0.0)
+    m = x.max(axis=1, keepdims=True)
+    if (m == NEG_INF).any():
+        raise EmptySupportError("softmax row with all entries masked")
+    e = np.exp(x - m)
     out = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=1, keepdims=True)
         ga = out * (g - dot)
-        _accum(a, ga if keep is None else np.where(keep, ga, 0.0), owned=True)
+        _accum(a, np.where(x != NEG_INF, ga, 0.0), owned=True)
 
     return _result(out, (a,), backward)
 

@@ -95,8 +95,8 @@ class TestSoftmax:
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
            st.lists(st.floats(-1, 1), min_size=6, max_size=6))
     def test_unmasked_input_matches_the_masked_path(self, vals, upstream):
-        # a row without -inf skips the masking; an appended masked column
-        # sends the same values through it, bit for bit, gradients included
+        # an appended masked column leaves the other entries' values and
+        # gradients unchanged, bit for bit
         n = len(vals)
         x = ad.Tensor([vals], requires_grad=True)
         xm = ad.Tensor([vals + [-math.inf]], requires_grad=True)
