@@ -4,6 +4,12 @@ Everything is a rank-2 float64 array: row vectors are (1, d), column vectors
 (n, 1), scalars (1, 1). Graphs are built dynamically on a tape and are tiny,
 so there is no compilation or fusion; the priority is that every primitive's
 gradient is checkable against central finite differences.
+
+Inside `no_grad` only, a tensor may also be a rank-3 stack (B, rows, cols)
+of B independent rank-2 operands. Every forward reads rows and columns from
+the last two axes, so a stack computes each item with the same numpy call
+as the item alone, bit for bit; a rank-3 tensor built while recording raises
+`ShapeError`, and no backward ever sees one.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ def no_grad():
 
 
 class Tensor:
-    """A rank-2 float64 array with an optional gradient tape entry."""
+    """A rank-2 float64 array (or, under `no_grad`, a rank-3 stack) with an
+    optional gradient tape entry."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -60,8 +67,9 @@ class Tensor:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise ShapeError(f"tensors are rank-2, got shape {arr.shape}")
+        elif arr.ndim != 2 and (arr.ndim != 3 or _recording):
+            raise ShapeError(f"tensors are rank-2 (rank-3 stacks only under "
+                             f"no_grad), got shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -69,7 +77,7 @@ class Tensor:
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def item(self) -> float:
@@ -110,7 +118,7 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 # primitives
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
 
@@ -124,7 +132,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; (n, d) + (1, d) broadcasts the row vector."""
-    if a.shape != b.shape and not (b.shape == (1, a.shape[1])):
+    if a.shape != b.shape and b.shape != (1, a.shape[-1]):
         raise ShapeError(f"add: {a.shape} + {b.shape}")
     broadcast = a.shape != b.shape
 
@@ -148,7 +156,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; either operand may be a (1, 1) scalar."""
-    if a.shape != b.shape and a.shape != (1, 1) and b.shape != (1, 1):
+    if (a.shape != b.shape and a.shape[-2:] != (1, 1)
+            and b.shape[-2:] != (1, 1)):
         raise ShapeError(f"mul: {a.shape} * {b.shape}")
     ad, bd = a.data, b.data
 
@@ -236,11 +245,11 @@ def softmax(a: Tensor) -> Tensor:
     -inf masks: a NaN or +inf makes its row NaN.
     """
     x = a.data
-    m = x.max(axis=1, keepdims=True)
+    m = x.max(axis=-1, keepdims=True)
     if (m == NEG_INF).any():
         raise EmptySupportError("softmax row with all entries masked")
     e = np.exp(x - m)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=1, keepdims=True)
@@ -254,11 +263,11 @@ def transpose(a: Tensor) -> Tensor:
     def backward(g):
         _accum(a, g.T)
 
-    return _result(a.data.T.copy(), (a,), backward)
+    return _result(np.swapaxes(a.data, -1, -2).copy(), (a,), backward)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[0] != b.shape[0]:
+    if a.shape[:-1] != b.shape[:-1]:
         raise ShapeError(f"concat_cols: {a.shape} | {b.shape}")
     na = a.shape[1]
 
@@ -266,41 +275,42 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g[:, :na])
         _accum(b, g[:, na:])
 
-    return _result(np.concatenate([a.data, b.data], axis=1), (a, b), backward)
+    return _result(np.concatenate([a.data, b.data], axis=-1), (a, b), backward)
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     parts = tuple(parts)
-    widths = {p.shape[1] for p in parts}
+    widths = {p.shape[-1] for p in parts}
     if len(widths) != 1:
         raise ShapeError(f"concat_rows: mixed widths {sorted(widths)}")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    offsets = np.cumsum([0] + [p.shape[-2] for p in parts])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[lo:hi])
 
-    return _result(np.concatenate([p.data for p in parts], axis=0), parts, backward)
+    return _result(np.concatenate([p.data for p in parts], axis=-2), parts,
+                   backward)
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:
     """Repeat a (1, d) row vector into an (n, d) matrix."""
-    if v.shape[0] != 1:
+    if v.shape[-2] != 1:
         raise ShapeError(f"tile_rows expects a row vector, got {v.shape}")
 
     def backward(g):
         _accum(v, g.sum(axis=0, keepdims=True), owned=True)
 
-    return _result(np.repeat(v.data, n, axis=0), (v,), backward)
+    return _result(np.repeat(v.data, n, axis=-2), (v,), backward)
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    n = a.shape[0]
+    n = a.shape[-2]
 
     def backward(g):
         _accum(a, np.repeat(g / n, n, axis=0), owned=True)
 
-    return _result(a.data.mean(axis=0, keepdims=True), (a,), backward)
+    return _result(a.data.mean(axis=-2, keepdims=True), (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -324,7 +334,7 @@ def mean_all(a: Tensor) -> Tensor:
 
 def col(a: Tensor, j: int) -> Tensor:
     """Single column slice of a (1, d) row vector, as a (1, 1) scalar."""
-    if a.shape[0] != 1:
+    if a.shape[-2] != 1:
         raise ShapeError(f"col expects a row vector, got {a.shape}")
     shp = a.shape
 
@@ -333,17 +343,17 @@ def col(a: Tensor, j: int) -> Tensor:
         ga[0, j] = g.reshape(())
         _accum(a, ga, owned=True)
 
-    return _result(a.data[:, j:j + 1].copy(), (a,), backward)
+    return _result(a.data[..., j:j + 1].copy(), (a,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row-wise affine map x @ w + b as one tape node, equal bit for bit to
     add(matmul(x, w), b): the reverse sweep meets it where it met that pair."""
     xd, wd, bd = x.data, w.data, b.data
-    if xd.shape[1] != wd.shape[0]:
+    if xd.shape[-1] != wd.shape[0]:
         raise ShapeError(f"matmul: {xd.shape} @ {wd.shape}")
-    if bd.shape not in ((xd.shape[0], wd.shape[1]), (1, wd.shape[1])):
-        raise ShapeError(f"add: {(xd.shape[0], wd.shape[1])} + {bd.shape}")
+    if bd.shape not in ((xd.shape[-2], wd.shape[1]), (1, wd.shape[1])):
+        raise ShapeError(f"add: {(xd.shape[-2], wd.shape[1])} + {bd.shape}")
 
     def backward(g):
         _accum(b, g if bd.shape == g.shape else g.sum(axis=0, keepdims=True))

@@ -13,6 +13,7 @@ from the ingested times, so serialising and re-ingesting a stream is lossless.
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 import zlib
@@ -38,7 +39,8 @@ UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError, LookupError,
 
 
 def read_npz(path, what: str, read):
-    """`read(archive)` on the .npz file at `path`; any damage raises
+    """`read(arrays)` on the .npz file at `path`, where `arrays` maps each
+    member's name (without `.npy`) to its array; any damage raises
     `CorruptFileError`. A missing file stays `FileNotFoundError`: the file is
     opened before reading starts."""
     with open(path, "rb") as fh:
@@ -49,18 +51,30 @@ def read_npz(path, what: str, read):
             if fh.read(4) != b"PK\x05\x06":
                 raise zipfile.BadZipFile("archive does not end with its "
                                          "end-of-central-directory record")
-            # the CRC pass covers bytes numpy would skip when a damaged array
-            # header declares a smaller shape
+            arrays = {}
             with zipfile.ZipFile(fh) as zf:
-                bad = zf.testzip()
-            if bad is not None:
-                raise zipfile.BadZipFile(f"bad CRC in member {bad}")
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as archive:
-                return read(archive)
+                for info in zf.infolist():
+                    try:  # read whole: zipfile checks the CRC at the end
+                        data = zf.read(info)
+                    except zipfile.BadZipFile as exc:
+                        raise zipfile.BadZipFile(
+                            f"bad CRC in member {info.filename} ({exc})") from exc
+                    arrays[info.filename.removesuffix(".npy")] = _parse_npy(data)
+            return read(arrays)
         except UNREADABLE as exc:
             raise CorruptFileError(
                 f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse_npy(data: bytes) -> np.ndarray:
+    """The array in one `.npy` member's bytes. Bytes left after the array
+    are refused: a damaged header that declares a smaller shape would
+    otherwise go unnoticed."""
+    buf = io.BytesIO(data)
+    arr = np.lib.format.read_array(buf, allow_pickle=False)
+    if buf.tell() != len(data):
+        raise ValueError(f"{len(data) - buf.tell()} bytes after the array")
+    return arr
 
 
 class DimensionMismatchError(ValueError):

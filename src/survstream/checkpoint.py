@@ -37,7 +37,7 @@ def load_model(path) -> SurvivalModel:
 def _build_model(archive) -> SurvivalModel:
     meta = json.loads(archive["meta"].tobytes().decode())
     state = {k[len("param/"):]: archive[k]
-             for k in archive.files if k.startswith("param/")}
+             for k in archive if k.startswith("param/")}
     rng = np.random.default_rng(0)  # structure only; weights overwritten below
     model = SurvivalModel(ModelConfig(**meta["config"]), rng)
     for task_id in meta["task_ids"]:

@@ -13,7 +13,6 @@ import inspect
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import CaseRecord, TaskStream
 from .fcr import CLLossConfig
 from .harness import MethodConfig, SequenceResult, run_sequence
@@ -73,10 +72,7 @@ class ContinualSurvivalEstimator:
         return self.result_.model
 
     def predict_hazard(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
-        model = self._model()
-        with ad.no_grad():
-            out = [model.forward(c, task_id)[0].data.reshape(-1) for c in cases]
-        return np.asarray(out)
+        return self._model().predict(cases, task_id)
 
     def predict_risk(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
         return np.asarray([risk_score(h) for h in

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .data import TaskData, TaskStream
 from .fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
                   replay_terms, total_loss)
-from .model import ModelConfig, SurvivalModel
+from .model import ModelConfig, SurvivalModel, group_by_bag_size
 from .survival import (SurvLossConfig, UndefinedMetricError, c_index,
                        c_index_ipcw, nll_survival_loss, risk_score)
 from .synthdata import split_folds
@@ -178,12 +178,8 @@ def _shuffle_rng(seed: int, task_id: int, epoch: int) -> np.random.Generator:
 
 def _evaluate_risks(model: SurvivalModel, task: TaskData,
                     indices: np.ndarray) -> np.ndarray:
-    risks = np.empty(indices.size)
-    with ad.no_grad():
-        for j, i in enumerate(indices):
-            hazards, _, _, _ = model.forward(task.cases[i], task.task_id)
-            risks[j] = risk_score(hazards.data.reshape(-1))
-    return risks
+    hazards = model.predict([task.cases[i] for i in indices], task.task_id)
+    return np.array([risk_score(h) for h in hazards])
 
 
 def _store_case(method: str, model: SurvivalModel, buffer: ReplayBuffer,
@@ -370,20 +366,24 @@ def _fill_row(model, stream, splits, matrices, row: int) -> None:
 def collect_routing(model: SurvivalModel, stream: TaskStream, splits
                     ) -> list[tuple[int, str, int, float]]:
     rows: list[tuple[int, str, int, float]] = []
+    d = model.cfg.latent
     for task, (_, va) in zip(stream.tasks, splits):
-        site_inputs = {"patch": [], "genomic": [], "fusion": []}
+        cases = [task.cases[i] for i in va]
+        site_inputs = {"patch": np.empty((len(cases), d)),
+                       "genomic": np.empty((len(cases), d)),
+                       "fusion": np.empty((len(cases), 2 * d))}
         with ad.no_grad():
-            for i in va:
-                p, g = model._inputs(task.cases[i])
+            for idx in group_by_bag_size(cases):
+                p, g = model._inputs([cases[j] for j in idx])
                 # pooled vectors before each mixture site
                 pooled_p = model._pool_patches(p, g).data
                 pooled_g = model._pool_genomics(g, p).data
                 f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
                 f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
-                site_inputs["patch"].append(pooled_p.reshape(-1))
-                site_inputs["genomic"].append(pooled_g.reshape(-1))
-                site_inputs["fusion"].append(
-                    np.concatenate([f_p.data, f_g.data], axis=1).reshape(-1))
+                site_inputs["patch"][idx] = pooled_p.reshape(len(idx), -1)
+                site_inputs["genomic"][idx] = pooled_g.reshape(len(idx), -1)
+                site_inputs["fusion"][idx] = np.concatenate(
+                    [f_p.data, f_g.data], axis=-1).reshape(len(idx), -1)
         for site_name, site in (("patch", model.moe_patch),
                                 ("genomic", model.moe_gen),
                                 ("fusion", model.moe_fuse)):

@@ -32,6 +32,18 @@ class ModelConfig:
     k_top: int = 2
 
 
+class NonFiniteHazardError(ValueError):
+    """A case's predicted hazards hold NaN or inf."""
+
+
+def group_by_bag_size(cases) -> list[list[int]]:
+    """Indices into `cases`, one list per bag size, in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for j, c in enumerate(cases):
+        groups.setdefault(c.patches.shape[0], []).append(j)
+    return list(groups.values())
+
+
 class SurvivalModel:
     """Backbone + expert mixtures + per-task hazard heads."""
 
@@ -73,14 +85,22 @@ class SurvivalModel:
 
     # -------------------------------------------------------------- forward
 
-    def _inputs(self, case: CaseRecord) -> tuple[ad.Tensor, ad.Tensor]:
-        p = ad.constant(case.patches)
-        g = ad.constant(padded_groups(case, self.cfg.genomic_width))
-        return p, g
+    def _inputs(self, cases) -> tuple[ad.Tensor, ad.Tensor]:
+        """The (n, d_patch) bag and (6, width) groups of one case, or, for a
+        list of cases with equal bag sizes, their (B, n, d_patch) and
+        (B, 6, width) stacks, which exist only under `ad.no_grad`."""
+        width = self.cfg.genomic_width
+        if isinstance(cases, CaseRecord):
+            return (ad.constant(cases.patches),
+                    ad.constant(padded_groups(cases, width)))
+        if len({c.patches.shape for c in cases}) != 1:
+            raise ad.ShapeError("a stack needs cases with equal bag sizes")
+        return (ad.constant(np.stack([c.patches for c in cases])),
+                ad.constant(np.stack([padded_groups(c, width) for c in cases])))
 
     def _pool_patches(self, p: ad.Tensor, g: ad.Tensor) -> ad.Tensor:
         """Gated-attention pooling of the patch bag: the patch site's input."""
-        n = p.shape[0]
+        n = p.shape[-2]
         if n < 1:
             raise ValueError("empty patch bag")
         emb = self.patch_embed(p)                                  # (n, d)
@@ -93,7 +113,7 @@ class SurvivalModel:
 
     def _pool_genomics(self, g: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
         """Attention pooling of the six group embeddings: the genomic site's input."""
-        rows = [net(ad.constant(g.data[i:i + 1]))
+        rows = [net(ad.constant(g.data[..., i:i + 1, :]))
                 for i, net in enumerate(self.group_nets)]
         stack = ad.concat_rows(rows)                               # (6, d)
         psum = ad.mean_rows(ad.relu(self.gen_psum(p)))             # (1, d)
@@ -117,7 +137,7 @@ class SurvivalModel:
         return self._encode_genomics(g, p, task_id)
 
     def fuse(self, f_p: ad.Tensor, f_g: ad.Tensor, task_id: int) -> ad.Tensor:
-        if f_p.shape != (1, self.cfg.latent) or f_g.shape != (1, self.cfg.latent):
+        if f_p.shape[-2:] != (1, self.cfg.latent) or f_g.shape != f_p.shape:
             raise ad.ShapeError("fuse expects two (1, latent) vectors")
         return self.moe_fuse.forward(ad.concat_cols(f_p, f_g), task_id)
 
@@ -126,14 +146,38 @@ class SurvivalModel:
             raise UnknownTaskError(task_id)
         return ad.sigmoid(self.heads[task_id](f_f))
 
-    def forward(self, case: CaseRecord, task_id: int
+    def forward(self, case, task_id: int
                 ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
-        """Full pass: returns (hazards, f_patch, f_genomic, f_fused)."""
+        """Full pass: returns (hazards, f_patch, f_genomic, f_fused).
+
+        `case` is one case, or under `ad.no_grad` a list of cases with equal
+        bag sizes, whose outputs are stacked on a leading axis.
+        """
         p, g = self._inputs(case)
         f_p = self._encode_patches(p, g, task_id)
         f_g = self._encode_genomics(g, p, task_id)
         f_f = self.fuse(f_p, f_g, task_id)
         return self.predict_hazards(f_f, task_id), f_p, f_g, f_f
+
+    def predict(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
+        """Hazards of every case, (len(cases), n_bins), with no tape.
+
+        Cases of equal bag size go through one stacked `forward`, one group
+        at a time, and each row equals that case's own forward bit for bit.
+        A row holding NaN or inf raises `NonFiniteHazardError` naming the
+        first such case.
+        """
+        out = np.empty((len(cases), self.cfg.n_bins))
+        with ad.no_grad():
+            for idx in group_by_bag_size(cases):
+                hazards = self.forward([cases[j] for j in idx], task_id)[0]
+                out[idx] = hazards.data.reshape(len(idx), -1)
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            raise NonFiniteHazardError(
+                f"task {task_id}, case {cases[bad[0]].case_id!r}: "
+                f"hazards hold NaN or inf")
+        return out
 
     def feature_triple(self, case: CaseRecord, task_id: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -104,17 +104,25 @@ class MoEModule:
                              self.k_top, self.shared_idx)
 
     def forward(self, x: ad.Tensor, task_id: int) -> ad.Tensor:
-        """Differentiable mixture output for one (1, d_in) input."""
+        """Differentiable mixture output for one (1, d_in) input, or under
+        `ad.no_grad` for a (B, 1, d_in) stack of them.
+
+        Each row selects its own experts; the stack mixes the union of the
+        rows' selections in ascending index order. An expert a row did not
+        select has weight exactly 0 there, so it adds exact zeros to it.
+        """
         if task_id not in self.routers:
             raise UnknownTaskError(task_id)
         logits = self.routers[task_id](x)
         # the selection only: ad.softmax below makes the weights
-        selected = _select(logits.data.reshape(-1), self.k_top, self.shared_idx)
-        mask = np.where([i in selected for i in range(self.n_experts)],
-                        0.0, -np.inf).reshape(1, -1)
-        weights = ad.softmax(ad.add(logits, ad.constant(mask)))
+        selections = [_select(row, self.k_top, self.shared_idx)
+                      for row in logits.data.reshape(-1, self.n_experts)]
+        mask = np.where([[i in sel for i in range(self.n_experts)]
+                         for sel in selections], 0.0, -np.inf)
+        mask = ad.constant(mask.reshape(logits.shape))
+        weights = ad.softmax(ad.add(logits, mask))
         mix = None
-        for i in sorted(selected):
+        for i in sorted(frozenset().union(*selections)):
             term = ad.mul(ad.col(weights, i), self.experts[i](x))
             mix = term if mix is None else ad.add(mix, term)
         if self.mode == "append":

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import TaskData
 from .harness import SequenceResult, average_on_trained
 from .model import SurvivalModel
@@ -28,9 +27,8 @@ def emit_km_csv(model: SurvivalModel, task: TaskData, out_path) -> tuple[float, 
     log-rank chi2 / p and the significance flag repeated on each row.
     Returns (chi2, p).
     """
-    with ad.no_grad():
-        risks = np.array([risk_score(model.forward(c, task.task_id)[0].data.reshape(-1))
-                          for c in task.cases])
+    risks = np.array([risk_score(h)
+                      for h in model.predict(task.cases, task.task_id)])
     threshold = risks.mean()
     high = risks > threshold
     if not high.any() or high.all():

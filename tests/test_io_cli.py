@@ -1,5 +1,6 @@
 import csv
 import json
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,23 @@ class TestTaskFileDamage:
         with np.load(path) as z:
             assert np.array_equal(z["a"], np.arange(1024.0))
         with pytest.raises(CorruptFileError, match="bad CRC in member a.npy"):
+            read_npz(path, "archive", lambda z: z["a"])
+
+    def test_a_shrunk_header_with_a_valid_crc_is_a_corrupt_file(self,
+                                                                 tmp_path):
+        # the same damage with the member's CRC recomputed: the bytes left
+        # after the declared array give it away
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, a=np.arange(4096.0))
+        with zipfile.ZipFile(path) as zf:
+            member = zf.read("a.npy")
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("a.npy", member.replace(b"'shape': (4096,)",
+                                                b"'shape': (1024,)"))
+        with np.load(path) as z:
+            assert np.array_equal(z["a"], np.arange(1024.0))
+        with pytest.raises(CorruptFileError, match="bytes after the array"):
             read_npz(path, "archive", lambda z: z["a"])
 
     def test_group_widths_must_sum_to_the_columns(self, stream, tmp_path):

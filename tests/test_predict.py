@@ -1,0 +1,182 @@
+"""Stacked inference: `SurvivalModel.predict` and `collect_routing` send each
+group of equal bag size through one forward, and every case must come out
+bit for bit as its own forward would give it."""
+
+import dataclasses
+import functools
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from survstream import autodiff as ad
+from survstream import cli
+from survstream.bagio import save_stream
+from survstream.checkpoint import save_model
+from survstream.harness import (MethodConfig, _evaluate_risks, build_model,
+                                collect_routing)
+from survstream.model import NonFiniteHazardError
+from survstream.synthdata import GeneratorConfig, generate_stream
+
+# default model widths: the BLAS calls are those of real runs
+STREAM = generate_stream(GeneratorConfig(n_tasks=2, cases_per_task=40,
+                                         n_patches=(3, 6), seed=5))
+N_EXPERTS = MethodConfig().n_experts
+K_TOPS = (1, N_EXPERTS - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _model(k_top: int, perturbed: bool):
+    """Seeded weights leave the append-mode experts' outputs at zero;
+    perturbed weights make every expert contribute."""
+    model = build_model(STREAM, MethodConfig(k_top=k_top, seed=2))
+    if perturbed:
+        rng = np.random.default_rng(9)
+        for p in model.parameters().values():
+            p.data = p.data + rng.normal(scale=0.1, size=p.data.shape)
+    return model
+
+
+def _own_forwards(model, cases, task_id) -> np.ndarray:
+    with ad.no_grad():
+        return np.concatenate([model.forward(c, task_id)[0].data
+                               for c in cases])
+
+
+def _with_nan_patch(case):
+    patches = case.patches.copy()
+    patches[0, 0] = np.nan
+    return dataclasses.replace(case, patches=patches)
+
+
+@st.composite
+def case_lists(draw):
+    """A task and a list of its cases: any order, duplicates allowed,
+    sometimes all of one bag size."""
+    task = draw(st.sampled_from(STREAM.tasks))
+    pool = list(range(len(task)))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from(sorted({c.patches.shape[0]
+                                         for c in task.cases})))
+        pool = [i for i in pool if task.cases[i].patches.shape[0] == n]
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return task, [task.cases[i] for i in picks]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=case_lists(), k_top=st.sampled_from(K_TOPS),
+       perturbed=st.booleans())
+def test_predict_equals_each_cases_own_forward(drawn, k_top, perturbed):
+    task, cases = drawn
+    model = _model(k_top, perturbed)
+    got = model.predict(cases, task.task_id)
+    assert got.shape == (len(cases), model.cfg.n_bins)
+    assert got.tobytes() == _own_forwards(model, cases, task.task_id).tobytes()
+
+
+def test_a_stack_mixes_experts_its_rows_did_not_select():
+    # the union path is exercised: rows of one stack select different experts
+    model, task = _model(1, True), STREAM.tasks[0]
+    sizes = [c.patches.shape[0] for c in task.cases]
+    same = [c for c, n in zip(task.cases, sizes) if n == sizes[0]]
+    with ad.no_grad():
+        p, g = model._inputs(same)
+        pooled = model._pool_patches(p, g).data.reshape(len(same), -1)
+    selections = {model.moe_patch.gate(x, task.task_id).selected
+                  for x in pooled}
+    assert len(selections) > 1
+
+
+@pytest.mark.parametrize("k_top", K_TOPS)
+def test_collect_routing_equals_a_per_case_reference(k_top):
+    model = _model(k_top, True)
+    splits = [(None, np.arange(len(t))[::-1]) for t in STREAM.tasks]
+    want = []
+    for task, (_, va) in zip(STREAM.tasks, splits):
+        inputs = {"patch": [], "genomic": [], "fusion": []}
+        with ad.no_grad():
+            for i in va:
+                p, g = model._inputs(task.cases[i])
+                pooled_p = model._pool_patches(p, g).data
+                pooled_g = model._pool_genomics(g, p).data
+                f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
+                f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
+                inputs["patch"].append(pooled_p.reshape(-1))
+                inputs["genomic"].append(pooled_g.reshape(-1))
+                inputs["fusion"].append(
+                    np.concatenate([f_p.data, f_g.data], axis=1).reshape(-1))
+        for name, site in (("patch", model.moe_patch),
+                           ("genomic", model.moe_gen),
+                           ("fusion", model.moe_fuse)):
+            props = site.routing_stats(inputs[name], task.task_id)
+            want += [(task.task_id, name, e, float(v))
+                     for e, v in enumerate(props)]
+    assert collect_routing(model, STREAM, splits) == want
+
+
+def test_a_stack_exists_only_under_no_grad():
+    stack = np.zeros((2, 1, 3))
+    with pytest.raises(ad.ShapeError):
+        ad.constant(stack)
+    with pytest.raises(ad.ShapeError):
+        ad.Tensor(stack, requires_grad=True)
+    with ad.no_grad():
+        assert ad.constant(stack).shape == (2, 1, 3)
+    model, task = _model(1, False), STREAM.tasks[0]
+    same = [c for c in task.cases
+            if c.patches.shape == task.cases[0].patches.shape][:2]
+    with pytest.raises(ad.ShapeError):
+        model.forward(same, task.task_id)
+
+
+def test_a_stack_needs_equal_bag_sizes():
+    model, task = _model(1, False), STREAM.tasks[0]
+    mixed = sorted(task.cases, key=lambda c: c.patches.shape[0])[::len(task) - 1]
+    assert mixed[0].patches.shape != mixed[1].patches.shape
+    with ad.no_grad(), pytest.raises(ad.ShapeError, match="equal bag sizes"):
+        model.forward(mixed, task.task_id)
+
+
+def test_a_nan_case_changes_only_its_own_row_of_a_stack():
+    model, task = _model(1, True), STREAM.tasks[0]
+    n = task.cases[0].patches.shape[0]
+    same = [c for c in task.cases if c.patches.shape[0] == n]
+    assert len(same) >= 3
+    poisoned = list(same)
+    poisoned[1] = _with_nan_patch(same[1])
+    clean = model.predict(same, task.task_id)
+    with ad.no_grad():
+        stacked = model.forward(poisoned, task.task_id)[0].data
+    stacked = stacked.reshape(len(same), -1)
+    assert np.isnan(stacked[1]).all()
+    keep = [0] + list(range(2, len(same)))
+    assert stacked[keep].tobytes() == clean[keep].tobytes()
+
+
+def test_non_finite_hazards_name_their_task_and_case():
+    model, task = _model(1, False), STREAM.tasks[1]
+    cases = list(task.cases)
+    cases[7] = _with_nan_patch(cases[7])
+    bad_task = dataclasses.replace(task, cases=cases)
+    expected = re.escape(f"task {task.task_id}, case '{cases[7].case_id}'")
+    with pytest.raises(NonFiniteHazardError, match=expected):
+        model.predict(cases, task.task_id)
+    # validation and performance-matrix rows score through the same path
+    with pytest.raises(NonFiniteHazardError, match=expected):
+        _evaluate_risks(model, bad_task, np.arange(len(cases)))
+
+
+def test_km_verb_exits_2_naming_the_non_finite_case(tmp_path, capsys):
+    model = _model(1, False)
+    stream = dataclasses.replace(STREAM, tasks=list(STREAM.tasks))
+    cases = list(STREAM.tasks[0].cases)
+    cases[3] = _with_nan_patch(cases[3])
+    stream.tasks[0] = dataclasses.replace(STREAM.tasks[0], cases=cases)
+    save_stream(stream, tmp_path / "stream")
+    save_model(model, tmp_path / "model.npz")
+    code = cli.main(["km", str(tmp_path / "model.npz"),
+                     str(tmp_path / "stream"), "0", str(tmp_path / "km.csv")])
+    assert code == cli.EXIT_DATA
+    assert repr(cases[3].case_id) in capsys.readouterr().err
