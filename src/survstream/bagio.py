@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CaseRecord, TaskStream, build_task
+from .data import CaseRecord, N_BINS, TaskStream, build_task
 
 _VERSION = 2  # the manifest's "version"; other versions are refused
 
@@ -58,7 +58,7 @@ def read_npz(path, what: str, read):
                         data = zf.read(info)
                     except zipfile.BadZipFile as exc:
                         raise zipfile.BadZipFile(
-                            f"bad CRC in member {info.filename} ({exc})") from exc
+                            f"member {info.filename}: {exc}") from exc
                     arrays[info.filename.removesuffix(".npy")] = _parse_npy(data)
             return read(arrays)
         except UNREADABLE as exc:
@@ -137,7 +137,7 @@ def save_stream(stream: TaskStream, directory) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def ingest_stream(directory, n_bins: int = 4) -> TaskStream:
+def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
     """Load a stream directory; recompute bin grids from ingested times.
 
     Genomic groups are zero-padded to the maximum width across all tasks.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -11,19 +12,7 @@ from .model import ModelConfig, SurvivalModel
 
 
 def save_model(model: SurvivalModel, path) -> None:
-    meta = {
-        "config": {
-            "d_patch": model.cfg.d_patch,
-            "genomic_width": model.cfg.genomic_width,
-            "latent": model.cfg.latent,
-            "hidden": model.cfg.hidden,
-            "attn_dim": model.cfg.attn_dim,
-            "n_bins": model.cfg.n_bins,
-            "n_experts": model.cfg.n_experts,
-            "k_top": model.cfg.k_top,
-        },
-        "task_ids": model.task_ids,
-    }
+    meta = {"config": asdict(model.cfg), "task_ids": model.task_ids}
     arrays = {f"param/{k}": v for k, v in model.get_state().items()}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)

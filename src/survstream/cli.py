@@ -22,11 +22,11 @@ import numpy as np
 
 from .bagio import CorruptFileError, DimensionMismatchError, ingest_stream, save_stream
 from .checkpoint import load_model, save_model
-from .data import TaskStream
+from .data import N_BINS, TaskStream
 from .estimator import ContinualSurvivalEstimator
 from .harness import METHODS, collect_routing
-from .reports import (aggregate_metrics, emit_km_csv, write_routing_csv,
-                      write_run_reports)
+from .reports import (SIGNIFICANCE_LEVEL, aggregate_metrics, emit_km_csv,
+                      write_routing_csv, write_run_reports)
 from .survival import UndefinedMetricError
 from .synthdata import GenerationError, GeneratorConfig, generate_stream, split_folds
 
@@ -88,12 +88,11 @@ def load_config(path) -> dict:
 
 def _build_stream(cfg: dict, seed: int) -> TaskStream:
     src = cfg["source"]
+    n_bins = cfg.get("n_bins", N_BINS)
     if src["type"] == "synthetic":
-        gen = dict(src.get("generator", {}))
-        gen.setdefault("seed", seed)
-        gen.setdefault("n_bins", cfg.get("n_bins", 4))
+        gen = {"seed": seed, "n_bins": n_bins, **src.get("generator", {})}
         return generate_stream(GeneratorConfig(**gen))
-    return ingest_stream(src["path"], n_bins=cfg.get("n_bins", 4))
+    return ingest_stream(src["path"], n_bins=n_bins)
 
 
 def _output_root(cfg: dict) -> Path:
@@ -148,7 +147,7 @@ def cmd_km(args) -> int:
     stream = ingest_stream(args.data, n_bins=model.cfg.n_bins)
     task = _find_task(stream, args.task)
     chi2, p = emit_km_csv(model, task, args.out)
-    flag = "significant" if p < 0.05 else "not significant"
+    flag = "significant" if p < SIGNIFICANCE_LEVEL else "not significant"
     print(f"log-rank chi2={chi2:.6g} p={p:.6g} ({flag}); wrote {args.out}")
     return EXIT_OK
 
@@ -181,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
     p_ing = sub.add_parser("ingest-check", help="validate a feature-bag directory")
     p_ing.add_argument("directory")
-    p_ing.add_argument("--n-bins", type=int, default=4)
+    p_ing.add_argument("--n-bins", type=int, default=N_BINS)
     p_ing.set_defaults(fn=cmd_ingest_check)
     p_km = sub.add_parser("km", help="risk-split KM curves and log-rank test")
     p_km.add_argument("checkpoint")

@@ -14,6 +14,7 @@ import numpy as np
 from .survival import BinSpec, assign_bin, compute_bins
 
 N_GENOMIC_GROUPS = 6
+N_BINS = 4  # time bins per task where a caller does not choose
 
 
 @dataclass

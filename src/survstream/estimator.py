@@ -2,21 +2,37 @@
 
 `ContinualSurvivalEstimator(method="fcr").fit(stream)` trains the configured
 method over a task stream; `predict_risk` / `predict_hazard` score cases
-through a task's own router and head. Constructor arguments mirror
-`MethodConfig` fields so `get_params` / `set_params` and `clone`-style reuse
-behave the way scikit-learn users expect.
+through a task's own router and head. The keyword parameters are the fields
+of `MethodConfig(method="fcr")`, `loss` and `surv` inlined and `attn_dim` left
+out, with those values as defaults; an unknown one raises `ValueError`. So
+`get_params` / `set_params` and `clone`-style reuse work as in scikit-learn.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
 from .data import CaseRecord, TaskStream
-from .fcr import CLLossConfig
 from .harness import MethodConfig, SequenceResult, run_sequence
-from .survival import SurvLossConfig, risk_score
+from .survival import risk_score
+
+# the nested configs whose fields are parameters of their own
+_NESTED = {f.name: f.default_factory for f in fields(MethodConfig)
+           if is_dataclass(f.default_factory)}
+
+
+def _flatten(cfg: MethodConfig) -> dict:
+    """The estimator parameters that describe `cfg`."""
+    flat = {}
+    for name, value in asdict(cfg).items():
+        flat.update(value if name in _NESTED else {name: value})
+    del flat["attn_dim"]
+    return flat
+
+
+_DEFAULTS = _flatten(MethodConfig(method="fcr"))
 
 
 class NotFittedError(RuntimeError):
@@ -24,20 +40,11 @@ class NotFittedError(RuntimeError):
 
 
 class ContinualSurvivalEstimator:
-    def __init__(self, method: str = "fcr", epochs: int = 20,
-                 learning_rate: float = 2e-4, weight_decay: float = 1e-5,
-                 alpha: float = 2.4e-3, beta: float = 0.5,
-                 replay_count: int = 1, buffer_capacity: int = 32,
-                 censored_weight: float = 0.0, latent: int = 64,
-                 hidden: int = 128, n_experts: int = 8, k_top: int = 2,
-                 n_folds: int = 5, fold: int = 0, seed: int = 0):
-        given = locals()
-        for name in self._PARAM_NAMES:
-            setattr(self, name, given[name])
-        self.result_: SequenceResult | None = None
+    _PARAM_NAMES = tuple(_DEFAULTS)
 
-    # the hyperparameter names: the constructor's keywords, in order
-    _PARAM_NAMES = tuple(inspect.signature(__init__).parameters)[1:]
+    def __init__(self, **params):
+        self.set_params(**{**_DEFAULTS, **params})
+        self.result_: SequenceResult | None = None
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._PARAM_NAMES}
@@ -50,15 +57,10 @@ class ContinualSurvivalEstimator:
         return self
 
     def method_config(self) -> MethodConfig:
-        return MethodConfig(
-            method=self.method, epochs=self.epochs,
-            learning_rate=self.learning_rate, weight_decay=self.weight_decay,
-            loss=CLLossConfig(alpha=self.alpha, beta=self.beta,
-                              replay_count=self.replay_count),
-            surv=SurvLossConfig(censored_weight=self.censored_weight),
-            buffer_capacity=self.buffer_capacity, latent=self.latent,
-            hidden=self.hidden, n_experts=self.n_experts, k_top=self.k_top,
-            n_folds=self.n_folds, fold=self.fold, seed=self.seed)
+        params = self.get_params()
+        nested = {name: cls(**{f.name: params.pop(f.name) for f in fields(cls)})
+                  for name, cls in _NESTED.items()}
+        return MethodConfig(**params, **nested)
 
     def fit(self, stream: TaskStream) -> "ContinualSurvivalEstimator":
         if not isinstance(stream, TaskStream) or stream.n_tasks == 0:

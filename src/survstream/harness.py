@@ -22,12 +22,13 @@ from . import autodiff as ad
 from .data import TaskData, TaskStream
 from .fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
                   replay_terms, total_loss)
-from .model import ModelConfig, SurvivalModel, group_by_bag_size
+from .model import ModelConfig, SurvivalModel
 from .survival import (SurvLossConfig, UndefinedMetricError, c_index,
                        c_index_ipcw, nll_survival_loss, risk_score)
 from .synthdata import split_folds
 
-METHODS = ("finetune", "joint", "er", "derpp", "fcr")
+REPLAY_METHODS = ("er", "derpp", "fcr")  # the methods that keep a buffer
+METHODS = ("finetune", "joint") + REPLAY_METHODS
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,11 @@ class MethodConfig:
     loss: CLLossConfig = field(default_factory=CLLossConfig)
     surv: SurvLossConfig = field(default_factory=SurvLossConfig)
     buffer_capacity: int = 32
-    latent: int = 64
-    hidden: int = 128
-    attn_dim: int = 32
-    n_experts: int = 8
-    k_top: int = 2
+    latent: int = ModelConfig.latent
+    hidden: int = ModelConfig.hidden
+    attn_dim: int = ModelConfig.attn_dim
+    n_experts: int = ModelConfig.n_experts
+    k_top: int = ModelConfig.k_top
     n_folds: int = 5
     fold: int = 0
     seed: int = 0
@@ -205,7 +206,7 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
     hazards, _, _, _ = model.forward(case, task_id)
     current = nll_survival_loss(hazards, case.label, case.censored, cfg.surv)
     method, loss_cfg = cfg.method, cfg.loss
-    if method in ("finetune", "joint") or buffer is None or len(buffer) == 0:
+    if buffer is None or len(buffer) == 0:  # finetune and joint have none
         return current
     if method == "er":  # fcr without the feature constraint
         loss_cfg = replace(loss_cfg, alpha=0.0)
@@ -294,10 +295,10 @@ def train_task(model: SurvivalModel, task: TaskData, cfg: MethodConfig,
         risks = _evaluate_risks(model, task, val_idx)
         return c_index(risks, task.times[val_idx], task.censor[val_idx])
 
-    uses_buffer = cfg.method in ("er", "derpp", "fcr")
     return _run_epochs(model, cfg, model.trainable_parameters(task.task_id),
                        epoch_order, validate, task.task_id, curves,
-                       buffer if uses_buffer else None, rng_buffer, step_hook)
+                       buffer if cfg.method in REPLAY_METHODS else None,
+                       rng_buffer, step_hook)
 
 
 def _train_joint(model: SurvivalModel, stream: TaskStream, cfg: MethodConfig,
@@ -365,31 +366,14 @@ def _fill_row(model, stream, splits, matrices, row: int) -> None:
 
 def collect_routing(model: SurvivalModel, stream: TaskStream, splits
                     ) -> list[tuple[int, str, int, float]]:
+    """(task, site, expert, proportion) rows over each task's validation
+    cases."""
     rows: list[tuple[int, str, int, float]] = []
-    d = model.cfg.latent
     for task, (_, va) in zip(stream.tasks, splits):
-        cases = [task.cases[i] for i in va]
-        site_inputs = {"patch": np.empty((len(cases), d)),
-                       "genomic": np.empty((len(cases), d)),
-                       "fusion": np.empty((len(cases), 2 * d))}
-        with ad.no_grad():
-            for idx in group_by_bag_size(cases):
-                p, g = model._inputs([cases[j] for j in idx])
-                # pooled vectors before each mixture site
-                pooled_p = model._pool_patches(p, g).data
-                pooled_g = model._pool_genomics(g, p).data
-                f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
-                f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
-                site_inputs["patch"][idx] = pooled_p.reshape(len(idx), -1)
-                site_inputs["genomic"][idx] = pooled_g.reshape(len(idx), -1)
-                site_inputs["fusion"][idx] = np.concatenate(
-                    [f_p.data, f_g.data], axis=-1).reshape(len(idx), -1)
-        for site_name, site in (("patch", model.moe_patch),
-                                ("genomic", model.moe_gen),
-                                ("fusion", model.moe_fuse)):
-            props = site.routing_stats(site_inputs[site_name], task.task_id)
-            for e, prop in enumerate(props):
-                rows.append((task.task_id, site_name, e, float(prop)))
+        sites = model.routing([task.cases[i] for i in va], task.task_id)
+        rows += [(task.task_id, site, e, float(prop))
+                 for site, props in sites.items()
+                 for e, prop in enumerate(props)]
     return rows
 
 
@@ -417,10 +401,9 @@ def run_sequence(cfg: MethodConfig, stream: TaskStream,
                 for m in ("c_index", "c_index_ipcw")}
     _fill_row(model, stream, splits, matrices, 0)
     curves: list[tuple[int, int, float, float]] = []
-    buffer = None
     rng_buffer = np.random.default_rng([cfg.seed, 2])
-    if cfg.method in ("er", "derpp", "fcr"):
-        buffer = ReplayBuffer(cfg.buffer_capacity)
+    buffer = (ReplayBuffer(cfg.buffer_capacity)
+              if cfg.method in REPLAY_METHODS else None)
     if cfg.method == "joint":
         best = _train_joint(model, stream, cfg, splits, curves)
         model.set_state(best)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import CaseRecord, N_GENOMIC_GROUPS, padded_groups
+from .data import CaseRecord, N_BINS, N_GENOMIC_GROUPS, padded_groups
 from .moe import DuplicateTaskError, MoEModule, UnknownTaskError
 from .nn import Linear, MLP2
 
@@ -27,7 +27,7 @@ class ModelConfig:
     latent: int = 64
     hidden: int = 128
     attn_dim: int = 32
-    n_bins: int = 4
+    n_bins: int = N_BINS
     n_experts: int = 8
     k_top: int = 2
 
@@ -185,6 +185,28 @@ class SurvivalModel:
         with ad.no_grad():
             _, f_p, f_g, f_f = self.forward(case, task_id)
         return f_p.data.copy(), f_g.data.copy(), f_f.data.copy()
+
+    def routing(self, cases: list[CaseRecord], task_id: int
+                ) -> dict[str, np.ndarray]:
+        """Per-expert selection fraction over `cases` at each mixture site,
+        each fed what `forward` feeds it, with no tape; cases of equal bag
+        size go through one stack, as in `predict`."""
+        sites = {"patch": self.moe_patch, "genomic": self.moe_gen,
+                 "fusion": self.moe_fuse}
+        inputs = {name: [None] * len(cases) for name in sites}
+        with ad.no_grad():
+            for idx in group_by_bag_size(cases):
+                p, g = self._inputs([cases[j] for j in idx])
+                x_p = self._pool_patches(p, g)
+                x_g = self._pool_genomics(g, p)
+                x_f = np.concatenate([self.moe_patch.forward(x_p, task_id).data,
+                                      self.moe_gen.forward(x_g, task_id).data],
+                                     axis=-1)
+                for name, x in zip(sites, (x_p.data, x_g.data, x_f)):
+                    for j, row in zip(idx, x.reshape(len(idx), -1)):
+                        inputs[name][j] = row
+        return {name: site.routing_stats(inputs[name], task_id)
+                for name, site in sites.items()}
 
     # ----------------------------------------------------------- parameters
 

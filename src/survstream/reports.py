@@ -89,20 +89,16 @@ def run_metrics(result: SequenceResult) -> dict:
     return out
 
 
-def write_run_reports(result: SequenceResult, out_dir, km_paths: bool = True
-                      ) -> dict:
+def write_run_reports(result: SequenceResult, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = run_metrics(result)
-    km_stats = {}
-    if km_paths:
-        for task in result.stream.tasks:
-            chi2, p = emit_km_csv(result.model, task,
-                                  out_dir / f"km_task{task.task_id}.csv")
-            km_stats[str(task.task_id)] = {
-                "chi2": chi2, "p": p,
-                "significant": p < SIGNIFICANCE_LEVEL}
-        metrics["km"] = km_stats
+    metrics["km"] = {}
+    for task in result.stream.tasks:
+        chi2, p = emit_km_csv(result.model, task,
+                              out_dir / f"km_task{task.task_id}.csv")
+        metrics["km"][str(task.task_id)] = {
+            "chi2": chi2, "p": p, "significant": p < SIGNIFICANCE_LEVEL}
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
     for name, pm in result.matrices.items():
         write_matrix_csv(pm.values, out_dir / f"matrix_{name}.csv")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CaseRecord, TaskData, TaskStream, build_task
+from .data import CaseRecord, N_BINS, TaskData, TaskStream, build_task
 
 
 class GenerationError(ValueError):
@@ -39,7 +39,7 @@ class GeneratorConfig:
     noise_scale: float = 0.5
     censor_rate: float = 0.3
     baseline_hazard: float = 0.1
-    n_bins: int = 4
+    n_bins: int = N_BINS
     seed: int = 0
 
     def __post_init__(self):

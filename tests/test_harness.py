@@ -5,7 +5,7 @@ import pytest
 
 from survstream import autodiff as ad
 from survstream import harness
-from survstream.estimator import ContinualSurvivalEstimator
+from survstream.estimator import ContinualSurvivalEstimator, _flatten
 from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
                             feature_constraint_loss, replay_loss, total_loss)
 from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
@@ -15,7 +15,8 @@ from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
                                 run_sequence, train_task)
 from survstream.model import SurvivalModel
 from survstream.moe import MoEModule
-from survstream.survival import UndefinedMetricError, nll_survival_loss
+from survstream.survival import (SurvLossConfig, UndefinedMetricError,
+                                 nll_survival_loss)
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
 
 TINY_KW = dict(latent=8, hidden=10, attn_dim=4, n_experts=4, k_top=1)
@@ -156,9 +157,19 @@ class TestMethodConfig:
         assert cfg.buffer_capacity == 32
 
     def test_estimator_defaults_match_method_config(self):
-        # the estimator's keyword defaults restate MethodConfig's
+        # the estimator's parameters are MethodConfig's fields flattened:
+        # rebuilding a config from them gives the config back
         assert (ContinualSurvivalEstimator().method_config()
                 == MethodConfig(method="fcr"))
+        cfg = MethodConfig(method="derpp", epochs=3,
+                           loss=CLLossConfig(alpha=0.1, beta=0.2,
+                                             replay_count=4),
+                           surv=SurvLossConfig(censored_weight=0.3),
+                           buffer_capacity=7, latent=16, k_top=3, fold=1)
+        est = ContinualSurvivalEstimator(**_flatten(cfg))
+        assert est.method_config() == cfg
+        assert ContinualSurvivalEstimator().set_params(
+            **est.get_params()).method_config() == cfg
 
 
 class TestTrainTask:

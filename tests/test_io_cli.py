@@ -169,8 +169,24 @@ class TestTaskFileDamage:
         path.write_bytes(blob.replace(b"'shape': (4096,)", b"'shape': (1024,)"))
         with np.load(path) as z:
             assert np.array_equal(z["a"], np.arange(1024.0))
-        with pytest.raises(CorruptFileError, match="bad CRC in member a.npy"):
+        with pytest.raises(CorruptFileError, match=r"member a\.npy: .*CRC"):
             read_npz(path, "archive", lambda z: z["a"])
+
+    def test_a_flipped_member_magic_names_the_member_and_zipfiles_reason(
+            self, tmp_path):
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, a=np.arange(4.0), b=np.arange(3.0))
+        with zipfile.ZipFile(path) as zf:
+            offset = zf.getinfo("b.npy").header_offset
+        blob = bytearray(path.read_bytes())
+        assert blob[offset:offset + 4] == b"PK\x03\x04"
+        blob[offset] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFileError,
+                           match=r"member b\.npy: Bad magic number") as info:
+            read_npz(path, "archive", lambda z: z["b"])
+        assert "CRC" not in str(info.value)
 
     def test_a_shrunk_header_with_a_valid_crc_is_a_corrupt_file(self,
                                                                  tmp_path):
@@ -401,6 +417,16 @@ class TestEstimator:
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             ContinualSurvivalEstimator().set_params(gamma=1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            ContinualSurvivalEstimator(gamma=1)
+
+    def test_default_params(self):
+        assert ContinualSurvivalEstimator().get_params() == {
+            "method": "fcr", "epochs": 20, "learning_rate": 2e-4,
+            "weight_decay": 1e-5, "alpha": 2.4e-3, "beta": 0.5,
+            "replay_count": 1, "buffer_capacity": 32, "censored_weight": 0.0,
+            "latent": 64, "hidden": 128, "n_experts": 8, "k_top": 2,
+            "n_folds": 5, "fold": 0, "seed": 0}
 
     def test_predict_before_fit(self):
         est = ContinualSurvivalEstimator()
@@ -495,7 +521,8 @@ class TestConfigValues:
            "negative epochs": {"epochs": -1},
            "negative alpha": {"alpha": -1},
            "zero replay_count": {"replay_count": 0},
-           "epochs not a number": {"epochs": "many"}}
+           "epochs not a number": {"epochs": "many"},
+           "attn_dim is not a parameter": {"attn_dim": 4}}
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_rejected_as_config_error(self, tmp_path, case):
