@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CaseRecord, N_BINS, TaskStream, build_task
+from .data import CaseRecord, N_BINS, TaskData, TaskStream, build_task
 
 _VERSION = 2  # the manifest's "version"; other versions are refused
 
@@ -137,12 +137,9 @@ def save_stream(stream: TaskStream, directory) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
-    """Load a stream directory; recompute bin grids from ingested times.
-
-    Genomic groups are zero-padded to the maximum width across all tasks.
-    """
-    directory = Path(directory)
+def _manifest_entries(directory: Path) -> list[tuple[int, Path]]:
+    """The (task_id, task file) pairs `manifest.json` lists, in task order;
+    a missing or malformed manifest raises `CorruptFileError`."""
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CorruptFileError(f"{directory}: missing manifest.json")
@@ -168,14 +165,28 @@ def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
             raise CorruptFileError(
                 f"{manifest_path}: task_id {task_id} is listed more than once")
         seen.add(task_id)
+    return entries
+
+
+def _read_listed(fpath: Path) -> list[CaseRecord]:
+    """The cases of a task file the manifest lists."""
+    if not fpath.is_file():
+        raise CorruptFileError(f"{fpath}: listed in manifest but missing")
+    cases = read_task_file(fpath)
+    if not cases:
+        raise CorruptFileError(f"{fpath}: no cases")
+    return cases
+
+
+def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
+    """Load a stream directory; recompute bin grids from ingested times.
+
+    Genomic groups are zero-padded to the maximum width across all tasks.
+    """
     tasks = []
     d_patch = None
-    for task_id, fpath in entries:
-        if not fpath.is_file():
-            raise CorruptFileError(f"{fpath}: listed in manifest but missing")
-        cases = read_task_file(fpath)
-        if not cases:
-            raise CorruptFileError(f"{fpath}: no cases")
+    for task_id, fpath in _manifest_entries(Path(directory)):
+        cases = _read_listed(fpath)
         dp = cases[0].patches.shape[1]
         if d_patch is None:
             d_patch = dp
@@ -185,6 +196,19 @@ def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
         tasks.append(build_task(task_id, cases, n_bins))
     width = max(g.size for t in tasks for g in t.cases[0].groups)
     return TaskStream(tasks, d_patch, width)
+
+
+def ingest_task(directory, task_id: int, n_bins: int = N_BINS) -> TaskData:
+    """Load one task of a stream directory: the manifest is checked as
+    `ingest_stream` checks it, then only `task_id`'s file is read, so damage
+    to another task's file goes unnoticed. The task equals its entry in
+    `ingest_stream(directory, n_bins).tasks`."""
+    directory = Path(directory)
+    for listed_id, fpath in _manifest_entries(directory):
+        if listed_id == task_id:
+            return build_task(task_id, _read_listed(fpath), n_bins)
+    raise CorruptFileError(
+        f"{directory / 'manifest.json'}: task {task_id} is not listed")
 
 
 def streams_equal(a: TaskStream, b: TaskStream) -> bool:

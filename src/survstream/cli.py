@@ -6,6 +6,8 @@ Verbs:
     km CKPT DATA TASK OUT       -- risk-split Kaplan-Meier curves + log-rank
     routing CKPT DATA TASK OUT  -- per-expert selection proportions
 
+km and routing read the manifest and TASK's file only, not the other tasks'.
+
 Exit codes: 0 success, 1 config error, 2 data error, 3 undefined metric.
 The SURVSTREAM_OUTPUT_ROOT environment variable overrides the output root.
 """
@@ -20,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bagio import CorruptFileError, DimensionMismatchError, ingest_stream, save_stream
+from .bagio import (CorruptFileError, DimensionMismatchError, ingest_stream,
+                    ingest_task, save_stream)
 from .checkpoint import load_model, save_model
 from .data import N_BINS, TaskStream
 from .estimator import ContinualSurvivalEstimator
@@ -144,8 +147,7 @@ def cmd_ingest_check(args) -> int:
 
 def cmd_km(args) -> int:
     model = load_model(args.checkpoint)
-    stream = ingest_stream(args.data, n_bins=model.cfg.n_bins)
-    task = _find_task(stream, args.task)
+    task = ingest_task(args.data, args.task, model.cfg.n_bins)
     chi2, p = emit_km_csv(model, task, args.out)
     flag = "significant" if p < SIGNIFICANCE_LEVEL else "not significant"
     print(f"log-rank chi2={chi2:.6g} p={p:.6g} ({flag}); wrote {args.out}")
@@ -154,21 +156,13 @@ def cmd_km(args) -> int:
 
 def cmd_routing(args) -> int:
     model = load_model(args.checkpoint)
-    stream = ingest_stream(args.data, n_bins=model.cfg.n_bins)
-    task = _find_task(stream, args.task)
+    task = ingest_task(args.data, args.task, model.cfg.n_bins)
     splits = [(None, np.arange(len(task)))]
-    sub = TaskStream([task], stream.d_patch, stream.genomic_width)
+    sub = TaskStream([task], model.cfg.d_patch, model.cfg.genomic_width)
     rows = collect_routing(model, sub, splits)
     write_routing_csv(rows, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _find_task(stream: TaskStream, task_id: int):
-    for task in stream.tasks:
-        if task.task_id == task_id:
-            return task
-    raise CorruptFileError(f"task {task_id} not present in data directory")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +30,10 @@ from .synthdata import split_folds
 
 REPLAY_METHODS = ("er", "derpp", "fcr")  # the methods that keep a buffer
 METHODS = ("finetune", "joint") + REPLAY_METHODS
+# the least value of each model-shape field; k_top counts routed experts
+# beside the shared one, so it may be 0
+_SHAPE_MINIMA = {"latent": 1, "hidden": 1, "attn_dim": 1, "n_experts": 1,
+                 "k_top": 0}
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,13 @@ class MethodConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epochs < 0 or self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("rates and epochs must be nonnegative")
+        for name, low in _SHAPE_MINIMA.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.k_top + 1 > self.n_experts:
+            raise ValueError(f"k_top + 1 = {self.k_top + 1} experts (with the "
+                             f"shared one) exceed n_experts = {self.n_experts}")
 
 
 class NonFiniteLossError(ValueError):

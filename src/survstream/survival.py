@@ -8,11 +8,12 @@ Kaplan-Meier curves and the log-rank test are all built on top of that.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import autodiff as ad
 
@@ -234,10 +235,27 @@ def c_index_ipcw(risks, times, censor, tau: float | None = None) -> float:
 
 
 def chi2_sf(x: float, df: int = 1) -> float:
-    """Chi-square survival function via the regularized incomplete gamma."""
+    """Chi-square survival function Q(df/2, x/2) for an integer df >= 1, in
+    closed form (Abramowitz & Stegun 26.4.4-26.4.5), with y = x/2:
+        even df: e^-y * sum_{k < df/2} y^k / k!
+        odd df:  erfc(sqrt y) + e^-y * sum_{k <= (df-3)/2} y^(k+1/2) / Gamma(k+3/2)
+    Each term is the exp of its logarithm, so none overflows for large df."""
+    if isinstance(df, bool) or not isinstance(df, Integral) or df < 1:
+        raise ValueError(f"chi2_sf requires an integer df >= 1, got {df!r}")
     if x < 0.0:
         raise ValueError("chi2_sf requires x >= 0")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    y = x / 2.0
+    if y == 0.0:  # log(0) below
+        return 1.0
+    if math.isinf(y):  # 0 * inf in the first term below
+        return 0.0
+    half = (df % 2) / 2.0
+    q = math.erfc(math.sqrt(y)) if half else 0.0
+    log_y = math.log(y)
+    for k in range(df // 2):
+        a = k + half
+        q += math.exp(a * log_y - y - math.lgamma(a + 1.0))
+    return q
 
 
 def log_rank_test(times_a, events_a, times_b, events_b) -> tuple[float, float]:

@@ -1,16 +1,22 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import survstream
 from survstream.bagio import (CorruptFileError, DimensionMismatchError,
-                              ingest_stream, read_npz, read_task_file,
-                              save_stream, streams_equal, write_task_file)
+                              ingest_stream, ingest_task, read_npz,
+                              read_task_file, save_stream, streams_equal,
+                              write_task_file)
 from survstream.checkpoint import load_model, save_model
 from survstream.cli import (_RUN_KEYS, ConfigError, load_config, main,
                             run_experiment)
@@ -239,12 +245,18 @@ class TestManifest:
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_malformed_manifest_is_a_corrupt_file(self, stream, tmp_path,
-                                                  capsys, edit):
+                                                  capsys, checkpoint_file,
+                                                  edit):
         save_stream(stream, tmp_path / "s")
         _edit_manifest(tmp_path / "s", self.EDITS[edit])
         with pytest.raises(CorruptFileError, match="manifest"):
             ingest_stream(tmp_path / "s")
+        with pytest.raises(CorruptFileError, match="manifest"):
+            ingest_task(tmp_path / "s", 0)
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert main(["km", str(checkpoint_file[1]), str(tmp_path / "s"), "0",
+                     str(tmp_path / "km.csv")]) == 2
         assert capsys.readouterr().err.startswith("data error:")
 
     def test_stream_files_are_npz_with_manifest_version_2(self, stream,
@@ -264,9 +276,10 @@ class TestManifest:
             _entry(0), _entry(1, "task_1.npz"), _entry(0, "task_1.npz")]})
         for name in ("task_0.npz", "task_1.npz"):  # unreadable if read
             (tmp_path / "s" / name).write_bytes(b"not an archive")
-        with pytest.raises(CorruptFileError,
-                           match="task_id 0 is listed more than once"):
-            ingest_stream(tmp_path / "s")
+        for read in (ingest_stream, lambda d: ingest_task(d, 1)):
+            with pytest.raises(CorruptFileError,
+                               match="task_id 0 is listed more than once"):
+                read(tmp_path / "s")
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "task_id 0 is listed more than once" in out.err
@@ -280,6 +293,50 @@ class TestManifest:
             ingest_stream(tmp_path / "s")
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
         assert "manifest version 1" in capsys.readouterr().err
+
+
+class TestSingleTaskRead:
+    """km and routing read the manifest and the scored task's file only."""
+
+    def test_a_task_equals_its_entry_in_the_stream(self, stream, tmp_path):
+        save_stream(stream, tmp_path / "s")
+        whole = ingest_stream(tmp_path / "s", n_bins=3)
+        for task in whole.tasks:
+            one = ingest_task(tmp_path / "s", task.task_id, n_bins=3)
+            assert streams_equal(TaskStream([one], whole.d_patch, 0),
+                                 TaskStream([task], whole.d_patch, 0))
+
+    @pytest.mark.parametrize("verb", ["km", "routing"])
+    def test_another_tasks_damaged_file_is_not_read(self, stream, tmp_path,
+                                                    checkpoint_file, verb):
+        save_stream(stream, tmp_path / "s")
+        ckpt = str(checkpoint_file[1])
+        intact = tmp_path / "intact.csv"
+        assert main([verb, ckpt, str(tmp_path / "s"), "0", str(intact)]) == 0
+        damaged = tmp_path / "s" / "task_1.npz"
+        damaged.write_bytes(damaged.read_bytes()[:100])
+        out = tmp_path / "out.csv"
+        assert main([verb, ckpt, str(tmp_path / "s"), "0", str(out)]) == 0
+        assert out.read_bytes() == intact.read_bytes()
+        assert main(["ingest-check", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("verb", ["km", "routing"])
+    def test_a_damaged_scored_file_exits_2(self, stream, tmp_path, capsys,
+                                           checkpoint_file, verb):
+        save_stream(stream, tmp_path / "s")
+        damaged = tmp_path / "s" / "task_1.npz"
+        damaged.write_bytes(damaged.read_bytes()[:100])
+        assert main([verb, str(checkpoint_file[1]), str(tmp_path / "s"), "1",
+                     str(tmp_path / "out.csv")]) == 2
+        assert "unreadable task file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["km", "routing"])
+    def test_an_unlisted_task_exits_2(self, stream, tmp_path, capsys,
+                                      checkpoint_file, verb):
+        save_stream(stream, tmp_path / "s")
+        assert main([verb, str(checkpoint_file[1]), str(tmp_path / "s"), "7",
+                     str(tmp_path / "out.csv")]) == 2
+        assert "task 7 is not listed" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +579,20 @@ class TestConfigValues:
            "negative alpha": {"alpha": -1},
            "zero replay_count": {"replay_count": 0},
            "epochs not a number": {"epochs": "many"},
-           "attn_dim is not a parameter": {"attn_dim": 4}}
+           "attn_dim is not a parameter": {"attn_dim": 4},
+           "k_top + 1 above n_experts": {"k_top": 4, "n_experts": 4},
+           "zero latent": {"latent": 0},
+           "zero hidden": {"hidden": 0},
+           "zero n_experts": {"n_experts": 0, "k_top": 0},
+           "negative k_top": {"k_top": -1},
+           "latent a bool": {"latent": True},
+           "k_top a float": {"k_top": 1.5}}
+
+    @pytest.mark.parametrize("attn_dim", [0, True, 2.0])
+    def test_method_config_refuses_an_attn_dim(self, attn_dim):
+        # not a config key, so BAD cannot reach it
+        with pytest.raises(ValueError, match="attn_dim"):
+            MethodConfig(attn_dim=attn_dim)
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_rejected_as_config_error(self, tmp_path, case):
@@ -625,6 +695,15 @@ class TestCLI:
         data = tmp_path / "out" / "stream_seed0"
         assert main(["km", str(ckpt), str(data), "7",
                      str(tmp_path / "km.csv")]) == 2
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        code = ("import survstream.cli, sys; print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))")
+        src = str(Path(survstream.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"
 
     def test_output_root_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SURVSTREAM_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -436,6 +436,7 @@ class TestChi2:
     def test_boundaries(self):
         assert sv.chi2_sf(0.0, 1) == 1.0
         assert sv.chi2_sf(1e9, 1) < 1e-12
+        assert sv.chi2_sf(0.0, 4) == 1.0 and sv.chi2_sf(math.inf, 4) == 0.0
 
     def test_matches_scipy_stats(self):
         from scipy.stats import chi2 as chi2_dist
@@ -443,9 +444,24 @@ class TestChi2:
             for df in (1, 2, 5):
                 assert abs(sv.chi2_sf(x, df) - chi2_dist.sf(x, df)) < 1e-12
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 10), st.floats(0.0, 1e4) | st.floats(0.0, 1e-6))
+    def test_matches_gammaincc(self, df, x):
+        special = pytest.importorskip("scipy.special")
+        want = float(special.gammaincc(df / 2.0, x / 2.0))
+        err = abs(sv.chi2_sf(x, df) - want)
+        assert err <= 1e-12
+        if want > 1e-300:
+            assert err <= 1e-12 * want
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sv.chi2_sf(-0.1, 1)
+
+    @pytest.mark.parametrize("df", [0, 1.5, True])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="integer df"):
+            sv.chi2_sf(1.0, df)
 
 
 class TestLogRank:
