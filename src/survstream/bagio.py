@@ -13,8 +13,10 @@ from the ingested times, so serialising and re-ingesting a stream is lossless.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 import zipfile
 import zlib
 from pathlib import Path
@@ -66,15 +68,46 @@ def read_npz(path, what: str, read):
                 f"{path}: unreadable {what} ({type(exc).__name__}: {exc})") from exc
 
 
+# the length field of a `.npy` header: format version -> its size in bytes
+_HEADER_LEN_SIZE = {1: 2, 2: 4}
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(head: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """(shape, fortran_order, dtype) of one `.npy` header, given its bytes
+    from the magic string to the end of the header dict. Archives repeat
+    few headers (a checkpoint's 163 members share 19), so each distinct one
+    is parsed once."""
+    buf = io.BytesIO(head)
+    version = np.lib.format.read_magic(buf)
+    read = {(1, 0): np.lib.format.read_array_header_1_0,
+            (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+    if read is None:
+        raise ValueError(f"unsupported .npy version {version}")
+    shape, fortran_order, dtype = read(buf)
+    if dtype.hasobject:
+        raise ValueError("object arrays are refused")
+    return shape, fortran_order, dtype
+
+
 def _parse_npy(data: bytes) -> np.ndarray:
-    """The array in one `.npy` member's bytes. Bytes left after the array
-    are refused: a damaged header that declares a smaller shape would
-    otherwise go unnoticed."""
-    buf = io.BytesIO(data)
-    arr = np.lib.format.read_array(buf, allow_pickle=False)
-    if buf.tell() != len(data):
-        raise ValueError(f"{len(data) - buf.tell()} bytes after the array")
-    return arr
+    """The array in one `.npy` member's bytes. The payload must be exactly
+    the bytes the header declares: a damaged header that declares a smaller
+    shape would otherwise go unnoticed."""
+    size = _HEADER_LEN_SIZE.get(data[6] if len(data) > 6 else None)
+    if size is None:
+        raise ValueError("not a .npy version 1 or 2 member")
+    end = 8 + size + int.from_bytes(data[8:8 + size], "little")
+    shape, fortran_order, dtype = _npy_header(data[:end])
+    count = math.prod(shape)
+    extra = len(data) - end - count * dtype.itemsize
+    if extra:
+        raise ValueError(f"{extra} bytes after the array" if extra > 0
+                         else f"array data {-extra} bytes short")
+    arr = np.frombuffer(data, dtype, count, offset=end).copy()
+    if fortran_order:
+        return arr.reshape(shape[::-1]).transpose()
+    return arr.reshape(shape)
 
 
 class DimensionMismatchError(ValueError):

@@ -27,7 +27,7 @@ from .bagio import (CorruptFileError, DimensionMismatchError, ingest_stream,
 from .checkpoint import load_model, save_model
 from .data import N_BINS, TaskStream
 from .estimator import ContinualSurvivalEstimator
-from .harness import METHODS, collect_routing
+from .harness import METHODS, collect_routing, require_int
 from .reports import (SIGNIFICANCE_LEVEL, aggregate_metrics, emit_km_csv,
                       write_routing_csv, write_run_reports)
 from .survival import UndefinedMetricError
@@ -79,13 +79,19 @@ def load_config(path) -> dict:
     elif "path" not in cfg["source"]:
         raise ConfigError("directory source requires 'path'")
     est_kwargs = {k: cfg[k] for k in _EST_KEYS if k in cfg}
+    try:
+        require_int("n_bins", cfg.get("n_bins", N_BINS), 2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for method in cfg["methods"]:
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-        try:
-            ContinualSurvivalEstimator(method=method, **est_kwargs).method_config()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"method {method!r}: {exc}") from exc
+        for seed in cfg["seeds"]:
+            try:
+                ContinualSurvivalEstimator(method=method, seed=seed,
+                                           **est_kwargs).method_config()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"method {method!r}, seed {seed!r}: {exc}") from exc
     return cfg
 
 

@@ -30,10 +30,17 @@ from .synthdata import split_folds
 
 REPLAY_METHODS = ("er", "derpp", "fcr")  # the methods that keep a buffer
 METHODS = ("finetune", "joint") + REPLAY_METHODS
-# the least value of each model-shape field; k_top counts routed experts
-# beside the shared one, so it may be 0
-_SHAPE_MINIMA = {"latent": 1, "hidden": 1, "attn_dim": 1, "n_experts": 1,
-                 "k_top": 0}
+# the least value of each integer field; k_top counts routed experts beside
+# the shared one, so it may be 0
+_INT_MINIMA = {"epochs": 0, "buffer_capacity": 1, "latent": 1, "hidden": 1,
+               "attn_dim": 1, "n_experts": 1, "k_top": 0, "n_folds": 2,
+               "fold": 0, "seed": 0}
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Refuse a bool, a non-integer or an integer below `low`."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,15 +64,16 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.epochs < 0 or self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("rates and epochs must be nonnegative")
-        for name, low in _SHAPE_MINIMA.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.learning_rate < 0 or self.weight_decay < 0:
+            raise ValueError("rates must be nonnegative")
+        for name, low in _INT_MINIMA.items():
+            require_int(name, getattr(self, name), low)
         if self.k_top + 1 > self.n_experts:
             raise ValueError(f"k_top + 1 = {self.k_top + 1} experts (with the "
                              f"shared one) exceed n_experts = {self.n_experts}")
+        if self.fold >= self.n_folds:
+            raise ValueError(f"fold {self.fold} is not one of the "
+                             f"n_folds = {self.n_folds} folds")
 
 
 class NonFiniteLossError(ValueError):

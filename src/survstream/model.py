@@ -6,6 +6,12 @@ encoder that pools the six group embeddings with attention (conditioned on a
 patch summary), and a fusion block. Residual expert mixtures sit after each
 encoder output, and the fusion feed-forward layer itself is an expert mixture
 in replace mode. One linear hazard head per task.
+
+Training runs one case at a time. Inference (`predict`, `routing`) sends a
+whole list of cases through one stack under `autodiff.no_grad`: the patch
+pooling, the only stage whose shapes depend on bag size, runs once per bag
+size, and everything after it runs once over the stack. Each row equals
+that case's own forward bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +40,6 @@ class ModelConfig:
 
 class NonFiniteHazardError(ValueError):
     """A case's predicted hazards hold NaN or inf."""
-
-
-def group_by_bag_size(cases) -> list[list[int]]:
-    """Indices into `cases`, one list per bag size, in first-seen order."""
-    groups: dict[int, list[int]] = {}
-    for j, c in enumerate(cases):
-        groups.setdefault(c.patches.shape[0], []).append(j)
-    return list(groups.values())
 
 
 class SurvivalModel:
@@ -85,18 +83,24 @@ class SurvivalModel:
 
     # -------------------------------------------------------------- forward
 
-    def _inputs(self, cases) -> tuple[ad.Tensor, ad.Tensor]:
-        """The (n, d_patch) bag and (6, width) groups of one case, or, for a
-        list of cases with equal bag sizes, their (B, n, d_patch) and
-        (B, 6, width) stacks, which exist only under `ad.no_grad`."""
+    def _inputs(self, cases) -> tuple[list[tuple[np.ndarray, ad.Tensor]], ad.Tensor]:
+        """The patch bags, as (case positions, bags) per bag size, and the
+        genomic groups. One case gives its (n, d_patch) bag at position 0
+        and its (6, width) groups; a list of cases, only under `ad.no_grad`,
+        gives each bag size's (B_n, n, d_patch) stack, in first-seen order,
+        and the (B, 6, width) stack of every case's groups."""
         width = self.cfg.genomic_width
         if isinstance(cases, CaseRecord):
-            return (ad.constant(cases.patches),
+            return ([(np.zeros(1, dtype=np.int64), ad.constant(cases.patches))],
                     ad.constant(padded_groups(cases, width)))
-        if len({c.patches.shape for c in cases}) != 1:
-            raise ad.ShapeError("a stack needs cases with equal bag sizes")
-        return (ad.constant(np.stack([c.patches for c in cases])),
-                ad.constant(np.stack([padded_groups(c, width) for c in cases])))
+        groups: dict[int, list[int]] = {}
+        for j, c in enumerate(cases):
+            groups.setdefault(c.patches.shape[0], []).append(j)
+        bags = [(np.array(idx), ad.constant(np.stack([cases[j].patches
+                                                       for j in idx])))
+                for idx in groups.values()]
+        return bags, ad.constant(np.stack([padded_groups(c, width)
+                                           for c in cases]))
 
     def _pool_patches(self, p: ad.Tensor, g: ad.Tensor) -> ad.Tensor:
         """Gated-attention pooling of the patch bag: the patch site's input."""
@@ -111,30 +115,45 @@ class SurvivalModel:
         attn = ad.softmax(ad.transpose(scores))                    # (1, n)
         return ad.matmul(attn, emb)                                # (1, d)
 
-    def _pool_genomics(self, g: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
-        """Attention pooling of the six group embeddings: the genomic site's input."""
-        rows = [net(ad.constant(g.data[..., i:i + 1, :]))
-                for i, net in enumerate(self.group_nets)]
-        stack = ad.concat_rows(rows)                               # (6, d)
-        psum = ad.mean_rows(ad.relu(self.gen_psum(p)))             # (1, d)
-        cond = ad.concat_cols(stack, ad.tile_rows(psum, N_GENOMIC_GROUPS))
-        scores = self.gattn_w(ad.tanh(self.gattn_v(cond)))         # (6, 1)
+    def _pool_bags(self, bags, g: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+        """The patch site's input and the patch summary that conditions the
+        genomic pooling, the only stage that runs once per bag size; the
+        rows go back in case order. With one bag size the tensors pass
+        through untouched."""
+        pooled = [(rows, self._pool_patches(p, g if len(bags) == 1
+                                            else ad.constant(g.data[rows])),
+                   ad.mean_rows(ad.relu(self.gen_psum(p))))        # (1, d)
+                  for rows, p in bags]
+        if len(pooled) == 1:
+            return pooled[0][1:]
+        x_p = np.empty(g.shape[:-2] + (1, self.cfg.latent))
+        summary = np.empty_like(x_p)
+        for rows, x, s in pooled:
+            x_p[rows], summary[rows] = x.data, s.data
+        return ad.constant(x_p), ad.constant(summary)
+
+    def _pool_genomics(self, g: ad.Tensor, summary: ad.Tensor) -> ad.Tensor:
+        """Attention pooling of the six group embeddings, conditioned on the
+        patch summary: the genomic site's input."""
+        stack = ad.concat_rows([net(ad.constant(g.data[..., i:i + 1, :]))
+                                for i, net in enumerate(self.group_nets)])
+        scores = self.gattn_w(ad.tanh(self.gattn_v(ad.concat_cols(
+            stack, ad.tile_rows(summary, N_GENOMIC_GROUPS)))))     # (6, 1)
         attn = ad.softmax(ad.transpose(scores))                    # (1, 6)
         return ad.matmul(attn, stack)                              # (1, d)
 
-    def _encode_patches(self, p: ad.Tensor, g: ad.Tensor, task_id: int) -> ad.Tensor:
-        return self.moe_patch.forward(self._pool_patches(p, g), task_id)
+    def _encode_patches(self, bags, g: ad.Tensor, task_id: int
+                        ) -> tuple[ad.Tensor, ad.Tensor]:
+        """The patch stage: (f_patch, the patch summary)."""
+        x_p, summary = self._pool_bags(bags, g)
+        return self.moe_patch.forward(x_p, task_id), summary
 
-    def _encode_genomics(self, g: ad.Tensor, p: ad.Tensor, task_id: int) -> ad.Tensor:
-        return self.moe_gen.forward(self._pool_genomics(g, p), task_id)
+    def _encode_genomics(self, g: ad.Tensor, summary: ad.Tensor,
+                         task_id: int) -> ad.Tensor:
+        return self.moe_gen.forward(self._pool_genomics(g, summary), task_id)
 
     def encode_patches(self, case: CaseRecord, task_id: int) -> ad.Tensor:
-        p, g = self._inputs(case)
-        return self._encode_patches(p, g, task_id)
-
-    def encode_genomics(self, case: CaseRecord, task_id: int) -> ad.Tensor:
-        p, g = self._inputs(case)
-        return self._encode_genomics(g, p, task_id)
+        return self._encode_patches(*self._inputs(case), task_id)[0]
 
     def fuse(self, f_p: ad.Tensor, f_g: ad.Tensor, task_id: int) -> ad.Tensor:
         if f_p.shape[-2:] != (1, self.cfg.latent) or f_g.shape != f_p.shape:
@@ -150,28 +169,28 @@ class SurvivalModel:
                 ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
         """Full pass: returns (hazards, f_patch, f_genomic, f_fused).
 
-        `case` is one case, or under `ad.no_grad` a list of cases with equal
-        bag sizes, whose outputs are stacked on a leading axis.
+        `case` is one case, or under `ad.no_grad` a list of cases of any bag
+        sizes, whose outputs are stacked on a leading axis in list order.
+        Only the patch pooling runs once per bag size; everything after it
+        runs once over the whole stack, so each row equals that case's own
+        forward bit for bit.
         """
-        p, g = self._inputs(case)
-        f_p = self._encode_patches(p, g, task_id)
-        f_g = self._encode_genomics(g, p, task_id)
+        bags, g = self._inputs(case)
+        f_p, summary = self._encode_patches(bags, g, task_id)
+        f_g = self._encode_genomics(g, summary, task_id)
         f_f = self.fuse(f_p, f_g, task_id)
         return self.predict_hazards(f_f, task_id), f_p, f_g, f_f
 
     def predict(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
-        """Hazards of every case, (len(cases), n_bins), with no tape.
-
-        Cases of equal bag size go through one stacked `forward`, one group
-        at a time, and each row equals that case's own forward bit for bit.
-        A row holding NaN or inf raises `NonFiniteHazardError` naming the
-        first such case.
+        """Hazards of every case, (len(cases), n_bins), from one stacked
+        `forward` with no tape; each row equals that case's own forward bit
+        for bit. A row holding NaN or inf raises `NonFiniteHazardError`
+        naming the first such case.
         """
-        out = np.empty((len(cases), self.cfg.n_bins))
+        if not cases:
+            return np.empty((0, self.cfg.n_bins))
         with ad.no_grad():
-            for idx in group_by_bag_size(cases):
-                hazards = self.forward([cases[j] for j in idx], task_id)[0]
-                out[idx] = hazards.data.reshape(len(idx), -1)
+            out = self.forward(cases, task_id)[0].data.reshape(len(cases), -1)
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         if bad.size:
             raise NonFiniteHazardError(
@@ -189,24 +208,18 @@ class SurvivalModel:
     def routing(self, cases: list[CaseRecord], task_id: int
                 ) -> dict[str, np.ndarray]:
         """Per-expert selection fraction over `cases` at each mixture site,
-        each fed what `forward` feeds it, with no tape; cases of equal bag
-        size go through one stack, as in `predict`."""
-        sites = {"patch": self.moe_patch, "genomic": self.moe_gen,
-                 "fusion": self.moe_fuse}
-        inputs = {name: [None] * len(cases) for name in sites}
+        each fed what `forward` feeds it, from one stacked pass with no tape
+        (pooled once per bag size, as in `forward`)."""
         with ad.no_grad():
-            for idx in group_by_bag_size(cases):
-                p, g = self._inputs([cases[j] for j in idx])
-                x_p = self._pool_patches(p, g)
-                x_g = self._pool_genomics(g, p)
-                x_f = np.concatenate([self.moe_patch.forward(x_p, task_id).data,
-                                      self.moe_gen.forward(x_g, task_id).data],
-                                     axis=-1)
-                for name, x in zip(sites, (x_p.data, x_g.data, x_f)):
-                    for j, row in zip(idx, x.reshape(len(idx), -1)):
-                        inputs[name][j] = row
-        return {name: site.routing_stats(inputs[name], task_id)
-                for name, site in sites.items()}
+            bags, g = self._inputs(cases)
+            x_p, summary = self._pool_bags(bags, g)
+            x_g = self._pool_genomics(g, summary)
+            x_f = ad.concat_cols(self.moe_patch.forward(x_p, task_id),
+                                 self.moe_gen.forward(x_g, task_id))
+        sites = {"patch": (self.moe_patch, x_p), "genomic": (self.moe_gen, x_g),
+                 "fusion": (self.moe_fuse, x_f)}
+        return {name: site.routing_stats(x.data.reshape(len(cases), -1), task_id)
+                for name, (site, x) in sites.items()}
 
     # ----------------------------------------------------------- parameters
 

@@ -64,6 +64,25 @@ def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
     return GatingResult(selected, e / e.sum())
 
 
+def _take(t: ad.Tensor, rows: list[int]) -> ad.Tensor:
+    """Rows `rows` (ascending) of a stack as a constant; `t` itself when
+    they are all of its rows, as for a single (1, d) row."""
+    return t if len(rows) == len(t.data) else ad.constant(t.data[rows])
+
+
+def _put(base: ad.Tensor | None, rows: list[int], t: ad.Tensor,
+         n_rows: int) -> ad.Tensor:
+    """`t` written over rows `rows` (ascending) of the `n_rows` stack `base`
+    (made when None); `t` itself when they are all of its rows. Only a
+    stack is written in place, and stacks exist only under `ad.no_grad`."""
+    if len(rows) == n_rows:
+        return t
+    if base is None:
+        base = ad.constant(np.empty((n_rows,) + t.shape[1:]))
+    base.data[rows] = t.data
+    return base
+
+
 class MoEModule:
     """Fixed expert pool with per-task routers and TopK+shared gating."""
 
@@ -107,9 +126,10 @@ class MoEModule:
         """Differentiable mixture output for one (1, d_in) input, or under
         `ad.no_grad` for a (B, 1, d_in) stack of them.
 
-        Each row selects its own experts; the stack mixes the union of the
-        rows' selections in ascending index order. An expert a row did not
-        select has weight exactly 0 there, so it adds exact zeros to it.
+        Each expert runs only on the rows that selected it. Each row adds its
+        own selected experts in ascending index order, starting from the
+        first, exactly as that row alone would. With one row every tensor
+        passes through untouched.
         """
         if task_id not in self.routers:
             raise UnknownTaskError(task_id)
@@ -121,10 +141,25 @@ class MoEModule:
                          for sel in selections], 0.0, -np.inf)
         mask = ad.constant(mask.reshape(logits.shape))
         weights = ad.softmax(ad.add(logits, mask))
+        rows_of = [[] for _ in range(self.n_experts)]  # rows choosing each
+        for r, sel in enumerate(selections):
+            for i in sel:
+                rows_of[i].append(r)
+        started = [False] * len(selections)  # rows whose mixture has a term
         mix = None
-        for i in sorted(frozenset().union(*selections)):
-            term = ad.mul(ad.col(weights, i), self.experts[i](x))
-            mix = term if mix is None else ad.add(mix, term)
+        for i, rows in enumerate(rows_of):
+            if not rows:
+                continue
+            term = ad.mul(ad.col(_take(weights, rows), i),
+                          self.experts[i](_take(x, rows)))
+            later = [k for k, r in enumerate(rows) if started[r]]
+            if later:
+                term = _put(term, later, ad.add(
+                    _take(mix, [rows[k] for k in later]), _take(term, later)),
+                    len(rows))
+            mix = _put(mix, rows, term, len(started))
+            for r in rows:
+                started[r] = True
         if self.mode == "append":
             return ad.add(x, mix)
         return mix

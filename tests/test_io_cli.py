@@ -211,6 +211,39 @@ class TestTaskFileDamage:
         with pytest.raises(CorruptFileError, match="bytes after the array"):
             read_npz(path, "archive", lambda z: z["a"])
 
+    def test_read_npz_reads_what_np_load_reads(self, tmp_path):
+        path = tmp_path / "a.npz"
+        arrays = {"fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+                  "scalar": np.array(2.5), "empty": np.zeros((0, 3)),
+                  "text": np.array(["a", "bcd"]), "big": np.arange(3, dtype=">i4"),
+                  "wide": np.arange(4.0).reshape(1, 1, 4)}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        got = read_npz(path, "archive", dict)
+        with np.load(path) as z:
+            for name in arrays:
+                assert got[name].dtype == z[name].dtype, name
+                assert got[name].shape == z[name].shape, name
+                assert got[name].flags.f_contiguous == z[name].flags.f_contiguous
+                assert got[name].tobytes("A") == z[name].tobytes("A"), name
+                assert got[name].flags.writeable, name
+
+    def test_a_short_member_behind_a_cached_header_is_a_corrupt_file(
+            self, tmp_path):
+        # a and b share one header, so b's is parsed from the cache; b's
+        # payload, one byte short with a valid CRC, must still be refused
+        path = tmp_path / "a.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, a=np.arange(8.0), b=np.arange(8.0) + 1)
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+        assert members["a.npy"][:-64] == members["b.npy"][:-64]
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("a.npy", members["a.npy"])
+            zf.writestr("b.npy", members["b.npy"][:-1])
+        with pytest.raises(CorruptFileError, match="1 bytes short"):
+            read_npz(path, "archive", lambda z: z["b"])
+
     def test_group_widths_must_sum_to_the_columns(self, stream, tmp_path):
         path = _saved_task_file(tmp_path, stream)
         with np.load(path) as z:
@@ -586,7 +619,18 @@ class TestConfigValues:
            "zero n_experts": {"n_experts": 0, "k_top": 0},
            "negative k_top": {"k_top": -1},
            "latent a bool": {"latent": True},
-           "k_top a float": {"k_top": 1.5}}
+           "k_top a float": {"k_top": 1.5},
+           "fold outside n_folds": {"fold": 9},
+           "negative fold": {"fold": -1},
+           "one fold": {"n_folds": 1},
+           "epochs a float": {"epochs": 1.5},
+           "epochs a bool": {"epochs": True},
+           "zero buffer_capacity": {"buffer_capacity": 0},
+           "n_bins one": {"n_bins": 1},
+           "n_bins a float": {"n_bins": 4.0},
+           "seed a string": {"seeds": ["a"]},
+           "seed a float": {"seeds": [0, 1.5]},
+           "seed a bool": {"seeds": [True]}}
 
     @pytest.mark.parametrize("attn_dim", [0, True, 2.0])
     def test_method_config_refuses_an_attn_dim(self, attn_dim):

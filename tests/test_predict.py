@@ -1,6 +1,8 @@
-"""Stacked inference: `SurvivalModel.predict` and `collect_routing` send each
-group of equal bag size through one forward, and every case must come out
-bit for bit as its own forward would give it."""
+"""Stacked inference: `SurvivalModel.predict` and `collect_routing` send
+every case of a call through one stacked pass of any bag sizes, which pools
+each bag size on its own and runs everything after pooling once, each expert
+only on the rows that chose it. Every case must come out bit for bit as its
+own forward would give it."""
 
 import dataclasses
 import functools
@@ -76,17 +78,37 @@ def test_predict_equals_each_cases_own_forward(drawn, k_top, perturbed):
     assert got.tobytes() == _own_forwards(model, cases, task.task_id).tobytes()
 
 
-def test_a_stack_mixes_experts_its_rows_did_not_select():
-    # the union path is exercised: rows of one stack select different experts
+class _CountingExpert:
+    """An expert that adds the rows it is called on to `seen[key]`."""
+
+    def __init__(self, expert, seen, key):
+        self.expert, self.seen, self.key = expert, seen, key
+
+    def __call__(self, x):
+        self.seen[self.key] = self.seen.get(self.key, 0) + len(x.data)
+        return self.expert(x)
+
+
+def test_a_stack_runs_each_expert_only_on_the_rows_that_chose_it(monkeypatch):
     model, task = _model(1, True), STREAM.tasks[0]
-    sizes = [c.patches.shape[0] for c in task.cases]
-    same = [c for c, n in zip(task.cases, sizes) if n == sizes[0]]
+    cases = task.cases
+    assert len({c.patches.shape[0] for c in cases}) > 1
+    # selection counts per site, from each row's own gate
+    chosen = {name: np.rint(props * len(cases)).astype(int)
+              for name, props in model.routing(cases, task.task_id).items()}
+    # rows of one stack choose differently, so a union would show
+    assert all((0 < n).any() and (n < len(cases)).any()
+               for n in chosen.values())
+    seen = {}
+    for name, site in (("patch", model.moe_patch), ("genomic", model.moe_gen),
+                       ("fusion", model.moe_fuse)):
+        monkeypatch.setattr(site, "experts", [
+            _CountingExpert(e, seen, (name, i))
+            for i, e in enumerate(site.experts)])
     with ad.no_grad():
-        p, g = model._inputs(same)
-        pooled = model._pool_patches(p, g).data.reshape(len(same), -1)
-    selections = {model.moe_patch.gate(x, task.task_id).selected
-                  for x in pooled}
-    assert len(selections) > 1
+        model.forward(cases, task.task_id)
+    assert seen == {(name, i): n for name, counts in chosen.items()
+                    for i, n in enumerate(counts) if n}
 
 
 @pytest.mark.parametrize("k_top", K_TOPS)
@@ -98,9 +120,10 @@ def test_collect_routing_equals_a_per_case_reference(k_top):
         inputs = {"patch": [], "genomic": [], "fusion": []}
         with ad.no_grad():
             for i in va:
-                p, g = model._inputs(task.cases[i])
+                [(_, p)], g = model._inputs(task.cases[i])
                 pooled_p = model._pool_patches(p, g).data
-                pooled_g = model._pool_genomics(g, p).data
+                summary = ad.mean_rows(ad.relu(model.gen_psum(p)))
+                pooled_g = model._pool_genomics(g, summary).data
                 f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
                 f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
                 inputs["patch"].append(pooled_p.reshape(-1))
@@ -131,27 +154,29 @@ def test_a_stack_exists_only_under_no_grad():
         model.forward(same, task.task_id)
 
 
-def test_a_stack_needs_equal_bag_sizes():
-    model, task = _model(1, False), STREAM.tasks[0]
-    mixed = sorted(task.cases, key=lambda c: c.patches.shape[0])[::len(task) - 1]
-    assert mixed[0].patches.shape != mixed[1].patches.shape
-    with ad.no_grad(), pytest.raises(ad.ShapeError, match="equal bag sizes"):
-        model.forward(mixed, task.task_id)
+def test_a_mixed_bag_stack_equals_each_cases_own_forward():
+    model, task = _model(1, True), STREAM.tasks[0]
+    cases = task.cases[::-1]
+    assert len({c.patches.shape[0] for c in cases}) > 1
+    with ad.no_grad():
+        stacked = model.forward(cases, task.task_id)
+        own = [model.forward(c, task.task_id) for c in cases]
+    for k, out in enumerate(stacked):
+        assert out.shape == (len(cases),) + own[0][k].shape
+        assert out.data.tobytes() == np.stack([o[k].data for o in own]).tobytes()
 
 
 def test_a_nan_case_changes_only_its_own_row_of_a_stack():
     model, task = _model(1, True), STREAM.tasks[0]
-    n = task.cases[0].patches.shape[0]
-    same = [c for c in task.cases if c.patches.shape[0] == n]
-    assert len(same) >= 3
-    poisoned = list(same)
-    poisoned[1] = _with_nan_patch(same[1])
-    clean = model.predict(same, task.task_id)
+    cases = task.cases
+    poisoned = list(cases)
+    poisoned[1] = _with_nan_patch(cases[1])
+    clean = model.predict(cases, task.task_id)
     with ad.no_grad():
         stacked = model.forward(poisoned, task.task_id)[0].data
-    stacked = stacked.reshape(len(same), -1)
+    stacked = stacked.reshape(len(cases), -1)
     assert np.isnan(stacked[1]).all()
-    keep = [0] + list(range(2, len(same)))
+    keep = [0] + list(range(2, len(cases)))
     assert stacked[keep].tobytes() == clean[keep].tobytes()
 
 
