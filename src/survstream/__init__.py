@@ -10,7 +10,7 @@ from .moe import GatingResult, MoEModule, topk_s_select
 from .survival import (BinSpec, SurvLossConfig, assign_bin, c_index,
                        c_index_ipcw, chi2_sf, compute_bins,
                        hazards_to_survival, km_estimator, log_rank_test,
-                       nll_survival_loss, risk_score)
+                       nll_survival_loss, risk_score, risk_scores)
 from .synthdata import GeneratorConfig, generate_stream, split_folds
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "assign_bin", "average_performance", "bwt", "c_index", "c_index_ipcw",
     "chi2_sf", "compute_bins", "forgetting", "fwt", "generate_stream",
     "hazards_to_survival", "km_estimator", "log_rank_test",
-    "nll_survival_loss", "risk_score", "run_sequence", "split_folds",
+    "nll_survival_loss", "risk_score", "risk_scores", "run_sequence",
+    "split_folds",
     "topk_s_select",
 ]

@@ -1,4 +1,11 @@
-"""Model checkpoints: one .npz holding every parameter plus a config record."""
+"""Model checkpoints: one .npz holding every parameter plus a config record.
+
+Loading builds the model's structure from the config record without drawing
+random weights, then `set_state` writes every parameter from the archive.
+A checkpoint scores only the tasks it has heads for, and only cases of the
+patch width it was built for; the `km` and `routing` verbs refuse anything
+else with `CheckpointMismatchError`.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,11 @@ import numpy as np
 
 from .bagio import read_npz
 from .model import ModelConfig, SurvivalModel
+
+
+class CheckpointMismatchError(ValueError):
+    """Data that a checkpoint was not built to score: a task it has no head
+    for, or cases of another patch width."""
 
 
 def save_model(model: SurvivalModel, path) -> None:
@@ -23,13 +35,24 @@ def load_model(path) -> SurvivalModel:
     return read_npz(path, "checkpoint", _build_model)
 
 
+class _ZeroInit:
+    """Stands in for the `np.random.Generator` the layer constructors draw
+    their initial weights from: every draw is zeros, so building a model
+    whose weights `set_state` overwrites costs no random numbers."""
+
+    @staticmethod
+    def uniform(low, high, size) -> np.ndarray:
+        return np.zeros(size)
+
+
 def _build_model(archive) -> SurvivalModel:
     meta = json.loads(archive["meta"].tobytes().decode())
     state = {k[len("param/"):]: archive[k]
              for k in archive if k.startswith("param/")}
-    rng = np.random.default_rng(0)  # structure only; weights overwritten below
+    rng = _ZeroInit()
     model = SurvivalModel(ModelConfig(**meta["config"]), rng)
     for task_id in meta["task_ids"]:
         model.add_task(task_id, rng)
     model.set_state(state)
     return model
+

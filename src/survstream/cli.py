@@ -6,7 +6,8 @@ Verbs:
     km CKPT DATA TASK OUT       -- risk-split Kaplan-Meier curves + log-rank
     routing CKPT DATA TASK OUT  -- per-expert selection proportions
 
-km and routing read the manifest and TASK's file only, not the other tasks'.
+km and routing read the manifest and TASK's file only, not the other tasks',
+and refuse a TASK the checkpoint has no head for or a patch width not its own.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 undefined metric.
 The SURVSTREAM_OUTPUT_ROOT environment variable overrides the output root.
@@ -24,10 +25,11 @@ import numpy as np
 
 from .bagio import (CorruptFileError, DimensionMismatchError, ingest_stream,
                     ingest_task, save_stream)
-from .checkpoint import load_model, save_model
-from .data import N_BINS, TaskStream
+from .checkpoint import CheckpointMismatchError, load_model, save_model
+from .data import N_BINS, TaskData, TaskStream
 from .estimator import ContinualSurvivalEstimator
 from .harness import METHODS, collect_routing, require_int
+from .model import SurvivalModel
 from .reports import (SIGNIFICANCE_LEVEL, aggregate_metrics, emit_km_csv,
                       write_routing_csv, write_run_reports)
 from .survival import UndefinedMetricError
@@ -151,9 +153,26 @@ def cmd_ingest_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_km(args) -> int:
+def _scoring_inputs(args) -> tuple[SurvivalModel, TaskData]:
+    """The checkpoint and the task of the data it is asked to score. A task id
+    the checkpoint has no head for, or cases of a patch width other than its
+    own, raise `CheckpointMismatchError` before any forward."""
     model = load_model(args.checkpoint)
     task = ingest_task(args.data, args.task, model.cfg.n_bins)
+    if args.task not in model.task_ids:
+        raise CheckpointMismatchError(
+            f"task {args.task} of {args.data} is not one of the checkpoint's "
+            f"tasks {model.task_ids}")
+    width = task.cases[0].patches.shape[1]
+    if width != model.cfg.d_patch:
+        raise CheckpointMismatchError(
+            f"task {args.task} of {args.data} has patch width {width}; the "
+            f"checkpoint's patch width is {model.cfg.d_patch}")
+    return model, task
+
+
+def cmd_km(args) -> int:
+    model, task = _scoring_inputs(args)
     chi2, p = emit_km_csv(model, task, args.out)
     flag = "significant" if p < SIGNIFICANCE_LEVEL else "not significant"
     print(f"log-rank chi2={chi2:.6g} p={p:.6g} ({flag}); wrote {args.out}")
@@ -161,8 +180,7 @@ def cmd_km(args) -> int:
 
 
 def cmd_routing(args) -> int:
-    model = load_model(args.checkpoint)
-    task = ingest_task(args.data, args.task, model.cfg.n_bins)
+    model, task = _scoring_inputs(args)
     splits = [(None, np.arange(len(task)))]
     sub = TaskStream([task], model.cfg.d_patch, model.cfg.genomic_width)
     rows = collect_routing(model, sub, splits)
@@ -207,8 +225,8 @@ def main(argv=None) -> int:
     except UndefinedMetricError as exc:
         print(f"undefined metric: {exc}", file=sys.stderr)
         return EXIT_METRIC
-    except (CorruptFileError, DimensionMismatchError, GenerationError,
-            FileNotFoundError, ValueError) as exc:
+    except (CheckpointMismatchError, CorruptFileError, DimensionMismatchError,
+            GenerationError, FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .survival import BinSpec, assign_bin, compute_bins
+from .survival import BinSpec, compute_bins
 
 N_GENOMIC_GROUPS = 6
 N_BINS = 4  # time bins per task where a caller does not choose
@@ -66,12 +66,14 @@ class TaskStream:
 
 
 def build_task(task_id: int, cases: list[CaseRecord], n_bins: int) -> TaskData:
-    """Attach a bin grid from the task's own uncensored times and label cases."""
+    """Attach a bin grid from the task's own uncensored times and label every
+    case with one `searchsorted`, giving each the label `assign_bin` gives."""
     times = np.array([c.time for c in cases])
     censor = np.array([c.censored for c in cases])
     bins = compute_bins(times, censor, n_bins)
-    for c in cases:
-        c.label = assign_bin(c.time, bins)
+    labels = np.searchsorted(bins.boundaries, times, side="right")
+    for c, label in zip(cases, labels.tolist()):
+        c.label = label
     return TaskData(task_id, cases, bins)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import CaseRecord, TaskStream
 from .harness import MethodConfig, SequenceResult, run_sequence
-from .survival import risk_score
+from .survival import risk_scores
 
 # the nested configs whose fields are parameters of their own
 _NESTED = {f.name: f.default_factory for f in fields(MethodConfig)
@@ -77,8 +77,7 @@ class ContinualSurvivalEstimator:
         return self._model().predict(cases, task_id)
 
     def predict_risk(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
-        return np.asarray([risk_score(h) for h in
-                           self.predict_hazard(cases, task_id)])
+        return risk_scores(self.predict_hazard(cases, task_id))
 
     def score_matrix(self, metric: str = "c_index") -> np.ndarray:
         if self.result_ is None:

@@ -8,10 +8,10 @@ encoder output, and the fusion feed-forward layer itself is an expert mixture
 in replace mode. One linear hazard head per task.
 
 Training runs one case at a time. Inference (`predict`, `routing`) sends a
-whole list of cases through one stack under `autodiff.no_grad`: the patch
-pooling, the only stage whose shapes depend on bag size, runs once per bag
-size, and everything after it runs once over the stack. Each row equals
-that case's own forward bit for bit.
+list of cases through stacks of at most `INFER_CHUNK` cases under
+`autodiff.no_grad`: in each, the patch pooling, the only stage whose shapes
+depend on bag size, runs once per bag size, and everything after it runs
+once over the stack. Each row equals that case's own forward bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ from . import autodiff as ad
 from .data import CaseRecord, N_BINS, N_GENOMIC_GROUPS, padded_groups
 from .moe import DuplicateTaskError, MoEModule, UnknownTaskError
 from .nn import Linear, MLP2
+
+# cases per stacked inference forward: bounds what one `predict` or
+# `routing` call holds, and still fills each stack's bag-size groups
+INFER_CHUNK = 512
+
+
+def _chunks(cases: list) -> list:
+    """`cases` in consecutive slices of at most `INFER_CHUNK` cases."""
+    return [cases[a:a + INFER_CHUNK] for a in range(0, len(cases), INFER_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -183,14 +192,16 @@ class SurvivalModel:
 
     def predict(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
         """Hazards of every case, (len(cases), n_bins), from one stacked
-        `forward` with no tape; each row equals that case's own forward bit
-        for bit. A row holding NaN or inf raises `NonFiniteHazardError`
-        naming the first such case.
+        `forward` with no tape per `INFER_CHUNK` cases; each row equals that
+        case's own forward bit for bit. A row holding NaN or inf raises
+        `NonFiniteHazardError` naming the first such case.
         """
         if not cases:
             return np.empty((0, self.cfg.n_bins))
         with ad.no_grad():
-            out = self.forward(cases, task_id)[0].data.reshape(len(cases), -1)
+            out = np.concatenate([
+                self.forward(chunk, task_id)[0].data.reshape(len(chunk), -1)
+                for chunk in _chunks(cases)])
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         if bad.size:
             raise NonFiniteHazardError(
@@ -209,17 +220,23 @@ class SurvivalModel:
                 ) -> dict[str, np.ndarray]:
         """Per-expert selection fraction over `cases` at each mixture site,
         each fed what `forward` feeds it, from one stacked pass with no tape
-        (pooled once per bag size, as in `forward`)."""
+        per `INFER_CHUNK` cases (pooled once per bag size, as in `forward`).
+        Each site's statistics come from one `routing_stats` call over the
+        inputs of every chunk."""
+        inputs: list[list[np.ndarray]] = [[], [], []]
         with ad.no_grad():
-            bags, g = self._inputs(cases)
-            x_p, summary = self._pool_bags(bags, g)
-            x_g = self._pool_genomics(g, summary)
-            x_f = ad.concat_cols(self.moe_patch.forward(x_p, task_id),
-                                 self.moe_gen.forward(x_g, task_id))
-        sites = {"patch": (self.moe_patch, x_p), "genomic": (self.moe_gen, x_g),
-                 "fusion": (self.moe_fuse, x_f)}
-        return {name: site.routing_stats(x.data.reshape(len(cases), -1), task_id)
-                for name, (site, x) in sites.items()}
+            for chunk in _chunks(cases):
+                bags, g = self._inputs(chunk)
+                x_p, summary = self._pool_bags(bags, g)
+                x_g = self._pool_genomics(g, summary)
+                x_f = ad.concat_cols(self.moe_patch.forward(x_p, task_id),
+                                     self.moe_gen.forward(x_g, task_id))
+                for site_inputs, x in zip(inputs, (x_p, x_g, x_f)):
+                    site_inputs.append(x.data.reshape(len(chunk), -1))
+        sites = {"patch": self.moe_patch, "genomic": self.moe_gen,
+                 "fusion": self.moe_fuse}
+        return {name: site.routing_stats(np.concatenate(x), task_id)
+                for (name, site), x in zip(sites.items(), inputs)}
 
     # ----------------------------------------------------------- parameters
 

@@ -11,7 +11,7 @@ import numpy as np
 from .data import TaskData
 from .harness import SequenceResult, average_on_trained
 from .model import SurvivalModel
-from .survival import UndefinedMetricError, km_estimator, log_rank_test, risk_score
+from .survival import UndefinedMetricError, km_estimator, log_rank_test, risk_scores
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -27,8 +27,7 @@ def emit_km_csv(model: SurvivalModel, task: TaskData, out_path) -> tuple[float, 
     log-rank chi2 / p and the significance flag repeated on each row.
     Returns (chi2, p).
     """
-    risks = np.array([risk_score(h)
-                      for h in model.predict(task.cases, task.task_id)])
+    risks = risk_scores(model.predict(task.cases, task.task_id))
     threshold = risks.mean()
     high = risks > threshold
     if not high.any() or high.all():

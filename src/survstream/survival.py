@@ -9,7 +9,6 @@ Kaplan-Meier curves and the log-rank test are all built on top of that.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -86,11 +85,12 @@ def assign_bin(t: float, spec: BinSpec) -> int:
 
 
 def hazards_to_survival(hazards) -> np.ndarray:
-    """S[r] = prod_{u<=r} (1 - h[u])."""
+    """S[..., r] = prod_{u<=r} (1 - h[..., u]), along the last axis.
+    Hazards outside [0, 1], NaN among them, raise `ValueError`."""
     h = np.asarray(hazards, dtype=np.float64)
-    if np.any(h < 0.0) or np.any(h > 1.0):
-        raise ValueError("hazards must lie in [0, 1]")
-    return np.cumprod(1.0 - h)
+    if not ((h >= 0.0) & (h <= 1.0)).all():
+        raise ValueError("hazards must lie in [0, 1] and not be NaN")
+    return np.cumprod(1.0 - h, axis=-1)
 
 
 def nll_survival_loss(hazards: ad.Tensor, label: int, censored: int,
@@ -124,9 +124,19 @@ def nll_survival_loss(hazards: ad.Tensor, label: int, censored: int,
     return ad.scale(term, -1.0)
 
 
+def risk_scores(hazards) -> np.ndarray:
+    """One risk per row of an (n, n_bins) hazard matrix: the negative sum of
+    that row's survival probabilities; higher = shorter survival. Each row
+    is summed as `risk_score` sums its one row, in O(n * n_bins) time."""
+    h = np.asarray(hazards, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError(f"hazards must be an (n, n_bins) matrix, got shape {h.shape}")
+    return -hazards_to_survival(h).sum(axis=1)
+
+
 def risk_score(hazards) -> float:
-    """Negative sum of survival probabilities; higher = shorter survival."""
-    return float(-hazards_to_survival(hazards).sum())
+    """The risk of one case's hazards: `risk_scores` of a one-row matrix."""
+    return float(risk_scores(np.reshape(hazards, (1, -1)))[0])
 
 
 def _columns(floats: dict, flags: dict) -> list[np.ndarray]:
@@ -146,32 +156,52 @@ def _columns(floats: dict, flags: dict) -> list[np.ndarray]:
     return out
 
 
-def _later_counts(risks: np.ndarray, times: np.ndarray):
-    """Per case i: the number of cases j with t_j > t_i, and how many of those
-    have r_j < r_i and r_j == r_i. O(n log n) comparisons, O(n) memory; each
-    insertion into `seen` also shifts up to n list pointers (one memmove).
+BLOCK = 128  # cases per block of `_later_counts`
 
-    Cases are visited by descending time; a group of equal times is counted
-    against `seen`, the sorted risks of all later cases, before it joins it.
+
+def _later_counts(risks: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Per case i: the number of cases j with t_j > t_i, and how many of those
+    have r_j < r_i and r_j == r_i, as exact integers in three rows.
+
+    Cases are walked by descending time in blocks of whole equal-time groups,
+    about `BLOCK` cases each; a larger group is a block of its own. A block
+    is counted against `seen`, the sorted risks of every earlier block, with
+    `searchsorted`, and against its own earlier groups with one masked
+    pairwise comparison (none in a one-group block), then merged into `seen`.
+    O(n * B + n^2 / B) element operations in O(n / B) numpy calls, O(n + B^2)
+    memory, for B = `BLOCK`.
     """
-    order = np.argsort(-times, kind="stable")
-    t_desc = times[order]
-    ends = (np.flatnonzero(np.r_[t_desc[1:] != t_desc[:-1], True]) + 1).tolist()
-    idx, rs = order.tolist(), risks[order].tolist()
-    later, lower, equal = ([0] * times.size for _ in range(3))
-    seen: list[float] = []
-    for a, b in zip([0, *ends[:-1]], ends):
-        for i, r in zip(idx[a:b], rs[a:b]):
-            lo = bisect_left(seen, r)
-            later[i], lower[i], equal[i] = len(seen), lo, bisect_right(seen, r, lo) - lo
-        for r in rs[a:b]:
-            insort(seen, r)
-    return np.array(later), np.array(lower), np.array(equal)
+    n = times.size
+    order = np.argsort(-times)  # the order inside an equal-time group is free
+    t, r, pos = times[order], risks[order], np.arange(n)
+    first = np.ones(n, dtype=bool)  # the first case of its equal-time group
+    first[1:] = t[1:] != t[:-1]
+    start = np.maximum.accumulate(np.where(first, pos, 0))  # = later count
+    g_start = np.flatnonzero(first)
+    g_end = np.r_[g_start[1:], n]
+    big = g_end - g_start > BLOCK
+    cuts = np.unique(np.r_[0, start[BLOCK::BLOCK], g_start[big], g_end[big], n])
+    lower, equal = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    seen = np.empty(0)
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        rb = r[a:b]
+        lo = np.searchsorted(seen, rb, side="left")
+        hi = np.searchsorted(seen, rb, side="right")
+        if t[a] != t[b - 1]:
+            earlier = pos[a:b] < start[a:b, None]  # [i, j]: j's group before i's
+            lo += np.count_nonzero(earlier & (rb < rb[:, None]), axis=1)
+            hi += np.count_nonzero(earlier & (rb <= rb[:, None]), axis=1)
+        lower[a:b], equal[a:b] = lo, hi - lo
+        # a stable sort merges the sorted run `seen` with the block
+        seen = np.sort(np.r_[seen, rb], kind="stable")
+    counts = np.empty((3, n), dtype=np.int64)
+    counts[:, order] = start, lower, equal
+    return counts
 
 
 def c_index(risks, times, censor) -> float:
     """Harrell-style concordance over pairs (i, j): t_i < t_j, i uncensored.
-    Sort-based (`_later_counts`): O(n log n) comparisons, O(n) memory."""
+    Costs what `_later_counts` costs, plus O(n)."""
     risks, times, censor = _columns({"risks": risks, "times": times},
                                     {"censor": censor})
     later, lower, equal = _later_counts(risks, times)
@@ -206,8 +236,8 @@ def c_index_ipcw(risks, times, censor, tau: float | None = None) -> float:
 
     Pairs (i, j) with t_i < t_j, t_i < tau, i uncensored get weight
     1 / G(t_i-)^2 where G is the Kaplan-Meier estimate of the censoring
-    distribution. Defaults tau to the maximum uncensored time. Sort-based
-    (`_later_counts`): O(n log n) comparisons, O(n) memory.
+    distribution. Defaults tau to the maximum uncensored time. Costs what
+    `_later_counts` costs, plus O(n log n) for the censoring curve.
     """
     risks, times, censor = _columns({"risks": risks, "times": times},
                                     {"censor": censor})
@@ -224,14 +254,18 @@ def c_index_ipcw(risks, times, censor, tau: float | None = None) -> float:
     if (g <= 0.0).any():
         raise DegenerateWeightsError(
             f"G(t-) = 0 at t = {times[anchors[np.argmax(g <= 0.0)]]}")
-    num = den = 0.0
-    for w, n_later, lo, eq in zip((1.0 / (g * g)).tolist(), later[anchors].tolist(),
-                                  lower[anchors].tolist(), equal[anchors].tolist()):
-        den += w * n_later
-        num += w * (lo + 0.5 * eq)
+    w = 1.0 / (g * g)
+    den = _running_sum(w * later[anchors])
+    num = _running_sum(w * (lower[anchors] + 0.5 * equal[anchors]))
     if den == 0.0:
         raise UndefinedMetricError("no comparable pairs under truncation")
     return float(num / den)
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right as a scalar loop
+    adds them (`np.cumsum` accumulates in order; `np.sum` adds pairwise)."""
+    return float(np.cumsum(np.r_[0.0, terms])[-1])
 
 
 def chi2_sf(x: float, df: int = 1) -> float:
@@ -270,15 +304,12 @@ def log_rank_test(times_a, events_a, times_b, events_b) -> tuple[float, float]:
     n_a_at = times_a.size - np.searchsorted(np.sort(times_a), at)
     n_b_at = times_b.size - np.searchsorted(np.sort(times_b), at)
     d_a_at = np.searchsorted(ev_a, at, side="right") - np.searchsorted(ev_a, at)
-    observed_a = expected_a = variance = 0.0
-    # ascending time, one scalar at a time: np.sum would add pairwise
-    for n_a, n_b, d, d_a in zip(n_a_at.tolist(), n_b_at.tolist(), d_at.tolist(),
-                                d_a_at.tolist()):
-        n = n_a + n_b
-        observed_a += d_a
-        expected_a += n_a * d / n
-        if n > 1:
-            variance += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    n = n_a_at + n_b_at
+    observed_a = float(d_a_at.sum())  # an integer count, exact
+    expected_a = _running_sum(n_a_at * d_at / n)
+    # where n = 1 the factor n - d is 0, so the term is 0.0, as if skipped
+    variance = _running_sum(d_at * (n_a_at / n) * (n_b_at / n) * (n - d_at)
+                            / np.maximum(n - 1, 1))
     if variance == 0.0:
         raise UndefinedMetricError("log-rank variance is zero")
     chi2 = (observed_a - expected_a) ** 2 / variance

@@ -17,13 +17,14 @@ from survstream.bagio import (CorruptFileError, DimensionMismatchError,
                               ingest_stream, ingest_task, read_npz,
                               read_task_file, save_stream, streams_equal,
                               write_task_file)
-from survstream.checkpoint import load_model, save_model
-from survstream.cli import (_RUN_KEYS, ConfigError, load_config, main,
-                            run_experiment)
+from survstream.checkpoint import CheckpointMismatchError, load_model, save_model
+from survstream.cli import (_RUN_KEYS, ConfigError, _scoring_inputs,
+                            build_parser, load_config, main, run_experiment)
 from survstream.data import TaskStream
 from survstream.estimator import ContinualSurvivalEstimator, NotFittedError
 from survstream.fcr import ReplayBuffer
 from survstream.harness import MethodConfig, build_model
+from survstream.model import SurvivalModel
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
 
 GEN = GeneratorConfig(n_tasks=2, cases_per_task=60, n_patches=(3, 6),
@@ -378,6 +379,42 @@ def checkpoint_file(stream, tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.npz"
     save_model(model, path)
     return model, path
+
+
+class TestScoringRefusals:
+    """km and routing refuse, before any forward, a task the checkpoint has
+    no head for and cases of a patch width other than its own."""
+
+    @pytest.fixture
+    def no_forward(self, monkeypatch):
+        def forward(*args, **kwargs):
+            raise AssertionError("a forward ran")
+        monkeypatch.setattr(SurvivalModel, "forward", forward)
+
+    def _refuse(self, stream, task, tmp_path, capsys, checkpoint_file, verb):
+        save_stream(stream, tmp_path / "s")
+        argv = [verb, str(checkpoint_file[1]), str(tmp_path / "s"), str(task),
+                str(tmp_path / "out.csv")]
+        with pytest.raises(CheckpointMismatchError):
+            _scoring_inputs(build_parser().parse_args(argv))
+        assert main(argv) == 2
+        assert not (tmp_path / "out.csv").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["km", "routing"])
+    def test_a_task_without_a_head_exits_2(self, tmp_path, capsys, no_forward,
+                                           checkpoint_file, verb):
+        err = self._refuse(generate_stream(replace(GEN, n_tasks=3)), 2,
+                           tmp_path, capsys, checkpoint_file, verb)
+        assert err.startswith("data error: task 2 of ")
+        assert "the checkpoint's tasks [0, 1]" in err
+
+    @pytest.mark.parametrize("verb", ["km", "routing"])
+    def test_another_patch_width_exits_2(self, tmp_path, capsys, no_forward,
+                                         checkpoint_file, verb):
+        err = self._refuse(generate_stream(replace(GEN, d_patch=12)), 0,
+                           tmp_path, capsys, checkpoint_file, verb)
+        assert "has patch width 12; the checkpoint's patch width is 8" in err
 
 
 def _state_bytes(model):

@@ -1,12 +1,13 @@
 """Stacked inference: `SurvivalModel.predict` and `collect_routing` send
-every case of a call through one stacked pass of any bag sizes, which pools
-each bag size on its own and runs everything after pooling once, each expert
-only on the rows that chose it. Every case must come out bit for bit as its
-own forward would give it."""
+the cases of a call through stacked passes of at most `INFER_CHUNK` cases of
+any bag sizes, each of which pools each bag size on its own and runs
+everything after pooling once, each expert only on the rows that chose it.
+Every case must come out bit for bit as its own forward would give it."""
 
 import dataclasses
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from survstream import autodiff as ad
 from survstream import cli
+from survstream import model as model_module
 from survstream.bagio import save_stream
 from survstream.checkpoint import save_model
 from survstream.harness import (MethodConfig, _evaluate_risks, build_model,
@@ -205,3 +207,59 @@ def test_km_verb_exits_2_naming_the_non_finite_case(tmp_path, capsys):
                      str(tmp_path / "stream"), "0", str(tmp_path / "km.csv")])
     assert code == cli.EXIT_DATA
     assert repr(cases[3].case_id) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_chunked_predict_and_routing_equal_one_stack(monkeypatch, chunk):
+    model, task = _model(1, True), STREAM.tasks[0]
+    cases = task.cases[::-1]
+    monkeypatch.setattr(model_module, "INFER_CHUNK", len(cases))
+    hazards = model.predict(cases, task.task_id)
+    routing = model.routing(cases, task.task_id)
+    monkeypatch.setattr(model_module, "INFER_CHUNK", chunk)
+    assert model.predict(cases, task.task_id).tobytes() == hazards.tobytes()
+    chunked = model.routing(cases, task.task_id)
+    assert list(chunked) == list(routing)
+    assert all(chunked[k].tobytes() == routing[k].tobytes() for k in routing)
+
+
+def test_routing_reads_each_site_once_over_every_chunk(monkeypatch):
+    model, task = _model(1, True), STREAM.tasks[0]
+    monkeypatch.setattr(model_module, "INFER_CHUNK", 3)
+    sizes = []
+    for site in (model.moe_patch, model.moe_gen, model.moe_fuse):
+        stats = site.routing_stats
+        monkeypatch.setattr(site, "routing_stats", lambda x, t, stats=stats:
+                            sizes.append(len(x)) or stats(x, t))
+    model.routing(task.cases, task.task_id)
+    assert sizes == [len(task.cases)] * 3
+
+
+def test_a_non_finite_case_in_a_later_chunk_is_named(monkeypatch):
+    model, task = _model(1, False), STREAM.tasks[1]
+    cases = list(task.cases)
+    cases[7] = _with_nan_patch(cases[7])
+    monkeypatch.setattr(model_module, "INFER_CHUNK", 3)
+    with pytest.raises(NonFiniteHazardError,
+                       match=re.escape(f"case '{cases[7].case_id}'")):
+        model.predict(cases, task.task_id)
+
+
+def test_chunked_predict_peaks_well_below_one_stack(monkeypatch):
+    model, task = _model(1, False), STREAM.tasks[0]
+    cases = task.cases * 50
+    assert len(cases) == 2000 and model_module.INFER_CHUNK >= 512
+
+    def peak():
+        tracemalloc.start()
+        try:
+            out = model.predict(cases, task.task_id)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunked, chunked_peak = peak()
+    monkeypatch.setattr(model_module, "INFER_CHUNK", len(cases))
+    whole, whole_peak = peak()
+    assert chunked.tobytes() == whole.tobytes()
+    assert chunked_peak < 0.5 * whole_peak

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from bisect import bisect_left, bisect_right, insort
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from survstream import autodiff as ad
 from survstream import survival as sv
+from survstream.data import N_GENOMIC_GROUPS, CaseRecord, build_task
 
 
 class TestBins:
@@ -73,6 +76,12 @@ class TestSurvivalCurve:
             sv.hazards_to_survival([0.5, 1.2])
 
 
+    @pytest.mark.parametrize("hazards", [[math.nan, 0.2], [0.2, math.nan]])
+    def test_nan_hazard_refused(self, hazards):
+        with pytest.raises(ValueError, match="NaN"):
+            sv.hazards_to_survival(hazards)
+
+
 class TestNLL:
     def test_uncensored_hand_case(self):
         # h = [0.2, 0.3, 0.4, 0.5], event in bin 2:
@@ -130,6 +139,52 @@ class TestRiskScore:
 
     def test_higher_hazard_higher_risk(self):
         assert sv.risk_score([0.9, 0.9]) > sv.risk_score([0.1, 0.1])
+
+    def test_nan_hazard_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sv.risk_score([math.nan, 0.5])
+        with pytest.raises(ValueError, match="NaN"):
+            sv.risk_scores([[0.1, 0.5], [0.3, math.nan]])
+
+    def test_risk_scores_takes_a_matrix(self):
+        with pytest.raises(ValueError, match="matrix"):
+            sv.risk_scores([0.1, 0.5])
+        assert sv.risk_scores(np.empty((0, 4))).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_risk_scores_equal_the_per_row_loop(self, n, n_bins, seed):
+        rng = np.random.default_rng(seed)
+        hazards = rng.uniform(size=(n, n_bins))
+        hazards[rng.uniform(size=hazards.shape) < 0.1] = 0.0
+        hazards[rng.uniform(size=hazards.shape) < 0.1] = 1.0
+        want = loop_risk_scores(hazards)
+        assert sv.risk_scores(hazards).tobytes() == want.tobytes()
+        assert [sv.risk_score(h) for h in hazards] == want.tolist()
+
+
+def loop_risk_scores(hazards) -> np.ndarray:
+    """One `risk_score` per row, as the callers of `risk_score` looped."""
+    return np.array([float(-np.cumprod(1.0 - np.asarray(h)).sum())
+                     for h in hazards])
+
+
+class TestBuildTaskLabels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 30), min_size=8, max_size=60),
+           st.integers(2, 5))
+    def test_labels_equal_assign_bin_per_case(self, times, n_bins):
+        # integer times tie often and often fall on a boundary
+        groups = tuple(np.zeros(1) for _ in range(N_GENOMIC_GROUPS))
+        cases = [CaseRecord(f"c{i}", np.zeros((1, 2)), groups, float(t), 0)
+                 for i, t in enumerate(times)]
+        try:
+            task = build_task(0, cases, n_bins)
+        except sv.InsufficientEventsError:
+            return
+        assert [c.label for c in task.cases] == [
+            sv.assign_bin(c.time, task.bins) for c in task.cases]
+        assert all(type(c.label) is int for c in task.cases)
 
 
 def naive_c_index(risks, times, censor):
@@ -208,6 +263,75 @@ def naive_log_rank(ta, ea, tb, eb):
     return (obs - exp) ** 2 / var
 
 
+def bisect_later_counts(risks, times):
+    """`_later_counts` by a bisect/insort loop: cases by descending time, each
+    equal-time group counted against the sorted risks of all later cases
+    before it joins them."""
+    order = np.argsort(-times, kind="stable")
+    t_desc = times[order]
+    ends = (np.flatnonzero(np.r_[t_desc[1:] != t_desc[:-1], True]) + 1).tolist()
+    idx, rs = order.tolist(), risks[order].tolist()
+    later, lower, equal = ([0] * times.size for _ in range(3))
+    seen = []
+    for a, b in zip([0, *ends[:-1]], ends):
+        for i, r in zip(idx[a:b], rs[a:b]):
+            lo = bisect_left(seen, r)
+            later[i], lower[i], equal[i] = len(seen), lo, bisect_right(seen, r, lo) - lo
+        for r in rs[a:b]:
+            insort(seen, r)
+    return np.array(later), np.array(lower), np.array(equal)
+
+
+def loop_c_index_ipcw(risks, times, censor, tau=None):
+    """Uno's C with the bisect counts and one running sum per anchor, added
+    one scalar at a time."""
+    risks, times, censor = sv._columns({"risks": risks, "times": times},
+                                       {"censor": censor})
+    if tau is None:
+        unc = times[censor == 0]
+        if unc.size == 0:
+            raise sv.UndefinedMetricError("no uncensored cases")
+        tau = float(unc.max())
+    later, lower, equal = bisect_later_counts(risks, times)
+    anchors = np.flatnonzero((censor == 0) & (times < tau) & (later > 0))
+    g_t, g_s = sv.km_estimator(times, censor)
+    g = np.r_[1.0, g_s][np.searchsorted(g_t, times[anchors], side="left")]
+    if (g <= 0.0).any():
+        raise sv.DegenerateWeightsError("G(t-) = 0")
+    num = den = 0.0
+    for w, n_later, lo, eq in zip((1.0 / (g * g)).tolist(), later[anchors].tolist(),
+                                  lower[anchors].tolist(), equal[anchors].tolist()):
+        den += w * n_later
+        num += w * (lo + 0.5 * eq)
+    if den == 0.0:
+        raise sv.UndefinedMetricError("no comparable pairs under truncation")
+    return float(num / den)
+
+
+def loop_log_rank(times_a, events_a, times_b, events_b):
+    """The log-rank (chi2, p) with its sums added one scalar at a time in
+    ascending time."""
+    times_a, events_a = np.asarray(times_a, dtype=float), np.asarray(events_a)
+    times_b, events_b = np.asarray(times_b, dtype=float), np.asarray(events_b)
+    ev_a = np.sort(times_a[events_a == 1])
+    at, d_at = np.unique(np.r_[ev_a, times_b[events_b == 1]], return_counts=True)
+    n_a_at = times_a.size - np.searchsorted(np.sort(times_a), at)
+    n_b_at = times_b.size - np.searchsorted(np.sort(times_b), at)
+    d_a_at = np.searchsorted(ev_a, at, side="right") - np.searchsorted(ev_a, at)
+    observed_a = expected_a = variance = 0.0
+    for n_a, n_b, d, d_a in zip(n_a_at.tolist(), n_b_at.tolist(), d_at.tolist(),
+                                d_a_at.tolist()):
+        n = n_a + n_b
+        observed_a += d_a
+        expected_a += n_a * d / n
+        if n > 1:
+            variance += d * (n_a / n) * (n_b / n) * (n - d) / (n - 1)
+    if variance == 0.0:
+        raise sv.UndefinedMetricError("log-rank variance is zero")
+    chi2 = (observed_a - expected_a) ** 2 / variance
+    return float(chi2), sv.chi2_sf(chi2, 1)
+
+
 def outcome(fn, *args):
     """fn's value, or the type of the ValueError it raised."""
     try:
@@ -227,6 +351,66 @@ def tied_cohorts(draw):
     risks = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
     censor = (rng.uniform(size=n) < frac).astype(np.int64)
     return risks, times, censor
+
+
+@st.composite
+def count_cohorts(draw):
+    """Risks and times with the block size `_later_counts` is to walk them in:
+    untied, rounded so that many tie (a block boundary then falls inside a
+    run of tied risks), all risks equal, or one equal-time group larger than
+    a block. n may be 1."""
+    block = draw(st.sampled_from([1, 2, 3, 7, sv.BLOCK]))
+    kind = draw(st.sampled_from(["untied", "tied", "equal risks", "big group"]))
+    low = block + 1 if kind == "big group" else 1
+    n = draw(st.integers(low, max(low, 3 * block + 5) if block < sv.BLOCK
+                         else 3 * block))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    times, risks = rng.exponential(2.0, n), rng.normal(size=n)
+    if kind == "tied":
+        times, risks = np.round(times, 1), np.round(risks)
+    elif kind == "equal risks":
+        risks[:] = risks[0]
+    elif kind == "big group":
+        times[rng.choice(n, draw(st.integers(block + 1, n)), replace=False)] = 1.0
+        risks = np.round(risks)
+    return block, risks, times
+
+
+class TestLaterCountsMatchTheBisectLoop:
+    """The block walk, its sums and its callers against the scalar loops
+    they replace: integer counts equal, floats equal bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(count_cohorts())
+    def test_counts_equal(self, cohort):
+        block, risks, times = cohort
+        with mock.patch.object(sv, "BLOCK", block):
+            got = sv._later_counts(risks, times)
+        want = bisect_later_counts(risks, times)
+        assert got.dtype == np.int64
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_cohorts(), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.none() | st.floats(0.0, 6.0))
+    def test_concordance_equal_bit_for_bit(self, cohort, frac, seed, tau):
+        block, risks, times = cohort
+        censor = (np.random.default_rng(seed).uniform(size=times.size)
+                  < frac).astype(np.int64)
+        with mock.patch.object(sv, "BLOCK", block):
+            harrell = outcome(sv.c_index, risks, times, censor)
+            uno = outcome(sv.c_index_ipcw, risks, times, censor, tau)
+        assert harrell == outcome(naive_c_index, risks, times, censor)
+        assert uno == outcome(loop_c_index_ipcw, risks, times, censor, tau)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_cohorts(), st.integers(1, 79))
+    def test_log_rank_equal_bit_for_bit(self, cohort, cut):
+        _, times, censor = cohort
+        if not 0 < cut < times.size:
+            return
+        args = (times[:cut], 1 - censor[:cut], times[cut:], 1 - censor[cut:])
+        assert outcome(sv.log_rank_test, *args) == outcome(loop_log_rank, *args)
 
 
 class TestCIndex:
@@ -323,6 +507,24 @@ def test_concordance_memory_stays_linear(fn):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20
+
+
+def test_a_large_equal_time_group_is_a_block_of_its_own():
+    # 4,000 cases at one time among 300 others: counted with the 300 in one
+    # block, the pairwise mask alone would take 4,300^2 bytes (18 MB)
+    rng = np.random.default_rng(21)
+    times = np.r_[np.full(4000, 1.0), rng.exponential(1.0, 300)]
+    risks = rng.normal(size=times.size)
+    sv._later_counts(risks, times)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        counts = sv._later_counts(risks, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert [c.tolist() for c in counts] == [
+        c.tolist() for c in bisect_later_counts(risks, times)]
 
 
 ROUTINES = {
