@@ -172,6 +172,8 @@ def _later_counts(risks: np.ndarray, times: np.ndarray) -> np.ndarray:
     memory, for B = `BLOCK`.
     """
     n = times.size
+    if n == 0:
+        return np.zeros((3, 0), dtype=np.int64)
     order = np.argsort(-times)  # the order inside an equal-time group is free
     t, r, pos = times[order], risks[order], np.arange(n)
     first = np.ones(n, dtype=bool)  # the first case of its equal-time group

@@ -358,10 +358,10 @@ def count_cohorts(draw):
     """Risks and times with the block size `_later_counts` is to walk them in:
     untied, rounded so that many tie (a block boundary then falls inside a
     run of tied risks), all risks equal, or one equal-time group larger than
-    a block. n may be 1."""
+    a block. n may be 0 or 1."""
     block = draw(st.sampled_from([1, 2, 3, 7, sv.BLOCK]))
     kind = draw(st.sampled_from(["untied", "tied", "equal risks", "big group"]))
-    low = block + 1 if kind == "big group" else 1
+    low = block + 1 if kind == "big group" else 0
     n = draw(st.integers(low, max(low, 3 * block + 5) if block < sv.BLOCK
                          else 3 * block))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -369,7 +369,7 @@ def count_cohorts(draw):
     if kind == "tied":
         times, risks = np.round(times, 1), np.round(risks)
     elif kind == "equal risks":
-        risks[:] = risks[0]
+        risks[:] = risks[:1]
     elif kind == "big group":
         times[rng.choice(n, draw(st.integers(block + 1, n)), replace=False)] = 1.0
         risks = np.round(risks)
@@ -389,6 +389,13 @@ class TestLaterCountsMatchTheBisectLoop:
         want = bisect_later_counts(risks, times)
         assert got.dtype == np.int64
         assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    def test_empty_cohort(self):
+        assert sv._later_counts(np.empty(0), np.empty(0)).shape == (3, 0)
+        with pytest.raises(sv.UndefinedMetricError):
+            sv.c_index([], [], [])
+        with pytest.raises(ValueError):
+            sv.c_index_ipcw([], [], [], 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(count_cohorts(), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
