@@ -190,15 +190,6 @@ def square(a: Tensor) -> Tensor:
     return _result(ad * ad, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out, owned=True)
-
-    return _result(out, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log requires strictly positive inputs")

@@ -3,8 +3,8 @@
 Loading builds the model's structure from the config record without drawing
 random weights, then `set_state` writes every parameter from the archive.
 A checkpoint scores only the tasks it has heads for, and only cases of the
-patch width it was built for; the `km` and `routing` verbs refuse anything
-else with `CheckpointMismatchError`.
+patch width it was built for whose genomic groups fit its genomic width; the
+`km` and `routing` verbs refuse anything else with `CheckpointMismatchError`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .model import ModelConfig, SurvivalModel
 
 class CheckpointMismatchError(ValueError):
     """Data that a checkpoint was not built to score: a task it has no head
-    for, or cases of another patch width."""
+    for, another patch width, or genomic groups wider than its own."""
 
 
 def save_model(model: SurvivalModel, path) -> None:

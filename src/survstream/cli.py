@@ -6,8 +6,8 @@ Verbs:
     km CKPT DATA TASK OUT       -- risk-split Kaplan-Meier curves + log-rank
     routing CKPT DATA TASK OUT  -- per-expert selection proportions
 
-km and routing read the manifest and TASK's file only, not the other tasks',
-and refuse a TASK the checkpoint has no head for or a patch width not its own.
+km and routing read the manifest and TASK's file only, and refuse a TASK the
+checkpoint has no head for, another patch width or wider genomic groups.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 undefined metric.
 The SURVSTREAM_OUTPUT_ROOT environment variable overrides the output root.
@@ -155,8 +155,8 @@ def cmd_ingest_check(args) -> int:
 
 def _scoring_inputs(args) -> tuple[SurvivalModel, TaskData]:
     """The checkpoint and the task of the data it is asked to score. A task id
-    the checkpoint has no head for, or cases of a patch width other than its
-    own, raise `CheckpointMismatchError` before any forward."""
+    the checkpoint has no head for, another patch width or a genomic group
+    wider than its own raise `CheckpointMismatchError` before any forward."""
     model = load_model(args.checkpoint)
     task = ingest_task(args.data, args.task, model.cfg.n_bins)
     if args.task not in model.task_ids:
@@ -168,6 +168,11 @@ def _scoring_inputs(args) -> tuple[SurvivalModel, TaskData]:
         raise CheckpointMismatchError(
             f"task {args.task} of {args.data} has patch width {width}; the "
             f"checkpoint's patch width is {model.cfg.d_patch}")
+    group = max(g.size for c in task.cases for g in c.groups)
+    if group > model.cfg.genomic_width:
+        raise CheckpointMismatchError(
+            f"task {args.task} of {args.data} has a genomic group of width "
+            f"{group}; the checkpoint's genomic width is {model.cfg.genomic_width}")
     return model, task
 
 

@@ -6,6 +6,9 @@ deterministic RNG stream per concern (init / shuffling / buffer), fills the
 metrics. Row 0 of the matrix is the untrained model evaluated on every task;
 row l is the model after training task l.
 
+One epoch loop, `_run_epochs`, trains every method: on one task's splits at
+a time, or for joint on every task's at once.
+
 Reduction chain honoured by construction: fcr with alpha = beta = 0 takes
 bit-identical steps to finetune, and er equals fcr with alpha = 0 minus the
 frozen-feature storage, because buffer randomness lives on its own stream.
@@ -249,27 +252,42 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
                       loss_cfg)
 
 
-def _run_epochs(model: SurvivalModel, cfg: MethodConfig,
-                trainable: dict[str, ad.Tensor], epoch_order, validate,
+def _scored(model: SurvivalModel, task: TaskData, idx: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A C-index's arguments for the cases `idx` of `task`."""
+    return _evaluate_risks(model, task, idx), task.times[idx], task.censor[idx]
+
+
+def _run_epochs(model: SurvivalModel, cfg: MethodConfig, parts, key: int,
                 curve_task: int, curves: list | None,
                 buffer: ReplayBuffer | None = None,
                 rng_buffer: np.random.Generator | None = None,
                 step_hook=None) -> dict[str, np.ndarray]:
-    """AdamW over `trainable` for `cfg.epochs` epochs; returns the state with
-    the best validation score.
+    """AdamW on every part's trainable parameters for `cfg.epochs` epochs
+    over the pooled training cases of `parts`, (task, train_idx, val_idx)
+    triples; returns the state with the best validation score, the mean
+    C-index over the parts' validation cases.
 
-    `epoch_order(epoch)` lists the epoch's (task_id, case) steps and
-    `validate()` scores the model after each epoch. Each step stores its
-    case in `buffer` when one is given. Ties in validation go to the
-    earliest epoch; zero epochs returns the initial parameters. A NaN or
-    infinite loss raises `NonFiniteLossError` before it touches a parameter.
+    Epoch `e` visits the pool in the order `_shuffle_rng(cfg.seed, key, e)`
+    permutes it. Each step stores its case in `buffer` when one is given,
+    then calls `step_hook(model)`. Ties in validation go to the earliest
+    epoch; zero epochs returns the initial parameters. A NaN or infinite
+    loss raises `NonFiniteLossError` before it touches a parameter.
     """
+    pool = [(task.task_id, task.cases[i]) for task, tr, _ in parts for i in tr]
+    if not pool:
+        ids = ", ".join(str(task.task_id) for task, _, _ in parts)
+        raise ValueError(f"task {ids}: empty training split")
+    trainable: dict[str, ad.Tensor] = {}
+    for task, _, _ in parts:
+        trainable.update(model.trainable_parameters(task.task_id))
     opt = AdamW(trainable, cfg.learning_rate, cfg.weight_decay)
     best_state = model.get_state()
     best_val = -np.inf
     for epoch in range(cfg.epochs):
         losses = []
-        for task_id, case in epoch_order(epoch):
+        for j in _shuffle_rng(cfg.seed, key, epoch).permutation(len(pool)):
+            task_id, case = pool[j]
             loss = _step_loss(cfg, model, case, task_id, buffer, rng_buffer)
             value = loss.item()
             if not math.isfinite(value):
@@ -289,7 +307,8 @@ def _run_epochs(model: SurvivalModel, cfg: MethodConfig,
                             rng_buffer)
             if step_hook is not None:
                 step_hook(model)
-        val_c = validate()
+        val_c = float(np.mean([c_index(*_scored(model, task, va))
+                               for task, _, va in parts]))
         if curves is not None:
             curves.append((curve_task, epoch, float(np.mean(losses)), val_c))
         if val_c > best_val:
@@ -305,47 +324,19 @@ def train_task(model: SurvivalModel, task: TaskData, cfg: MethodConfig,
                curves: list | None = None,
                step_hook=None) -> dict[str, np.ndarray]:
     """Train one task; returns the best-validation-C-index parameter state."""
-    if train_idx.size == 0:
-        raise ValueError(f"task {task.task_id}: empty training split")
-
-    def epoch_order(epoch):
-        order = train_idx.copy()
-        _shuffle_rng(cfg.seed, task.task_id, epoch).shuffle(order)
-        return [(task.task_id, task.cases[i]) for i in order]
-
-    def validate():
-        risks = _evaluate_risks(model, task, val_idx)
-        return c_index(risks, task.times[val_idx], task.censor[val_idx])
-
-    return _run_epochs(model, cfg, model.trainable_parameters(task.task_id),
-                       epoch_order, validate, task.task_id, curves,
+    return _run_epochs(model, cfg, [(task, train_idx, val_idx)], task.task_id,
+                       task.task_id, curves,
                        buffer if cfg.method in REPLAY_METHODS else None,
                        rng_buffer, step_hook)
 
 
 def _train_joint(model: SurvivalModel, stream: TaskStream, cfg: MethodConfig,
-                 splits, curves: list | None) -> dict[str, np.ndarray]:
-    """One pass over the shuffled union of all tasks, per-task heads/routers."""
-    pool = [(t.task_id, t.cases[i]) for t, (tr, _) in zip(stream.tasks, splits)
-            for i in tr]
-    if not pool:
-        raise ValueError("joint training has no cases")
-    merged: dict[str, ad.Tensor] = {}
-    for t in stream.tasks:
-        merged.update(model.trainable_parameters(t.task_id))
-
-    def epoch_order(epoch):
-        perm = _shuffle_rng(cfg.seed, len(stream.tasks), epoch).permutation(len(pool))
-        return [pool[i] for i in perm]
-
-    def validate():
-        vals = []
-        for task, (_, va) in zip(stream.tasks, splits):
-            risks = _evaluate_risks(model, task, va)
-            vals.append(c_index(risks, task.times[va], task.censor[va]))
-        return float(np.mean(vals))
-
-    return _run_epochs(model, cfg, merged, epoch_order, validate, -1, curves)
+                 splits, curves: list | None,
+                 step_hook=None) -> dict[str, np.ndarray]:
+    """Every task at once: each epoch shuffles the union of their cases."""
+    return _run_epochs(model, cfg, [(t, tr, va) for t, (tr, va)
+                                    in zip(stream.tasks, splits)],
+                       stream.n_tasks, -1, curves, step_hook=step_hook)
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +370,9 @@ class SequenceResult:
 
 def _fill_row(model, stream, splits, matrices, row: int) -> None:
     for j, (task, (_, va)) in enumerate(zip(stream.tasks, splits)):
-        risks = _evaluate_risks(model, task, va)
-        times, censor = task.times[va], task.censor[va]
-        matrices["c_index"].values[row, j] = c_index(risks, times, censor)
-        matrices["c_index_ipcw"].values[row, j] = c_index_ipcw(
-            risks, times, censor)
+        scored = _scored(model, task, va)
+        matrices["c_index"].values[row, j] = c_index(*scored)
+        matrices["c_index_ipcw"].values[row, j] = c_index_ipcw(*scored)
 
 
 def collect_routing(model: SurvivalModel, stream: TaskStream, splits
@@ -427,7 +416,7 @@ def run_sequence(cfg: MethodConfig, stream: TaskStream,
     buffer = (ReplayBuffer(cfg.buffer_capacity)
               if cfg.method in REPLAY_METHODS else None)
     if cfg.method == "joint":
-        best = _train_joint(model, stream, cfg, splits, curves)
+        best = _train_joint(model, stream, cfg, splits, curves, step_hook)
         model.set_state(best)
         _fill_row(model, stream, splits, matrices, k)
     else:

@@ -161,9 +161,6 @@ class SurvivalModel:
                          task_id: int) -> ad.Tensor:
         return self.moe_gen.forward(self._pool_genomics(g, summary), task_id)
 
-    def encode_patches(self, case: CaseRecord, task_id: int) -> ad.Tensor:
-        return self._encode_patches(*self._inputs(case), task_id)[0]
-
     def fuse(self, f_p: ad.Tensor, f_g: ad.Tensor, task_id: int) -> ad.Tensor:
         if f_p.shape[-2:] != (1, self.cfg.latent) or f_g.shape != f_p.shape:
             raise ad.ShapeError("fuse expects two (1, latent) vectors")

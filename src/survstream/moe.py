@@ -4,6 +4,7 @@ A module owns a fixed pool of two-layer FFN experts plus one linear router
 per task. Gating selects the shared expert (last index by convention) and the
 top-k scoring remaining experts, masks the rest to -inf and softmax-normalises
 over the full pool, so non-selected experts get exactly zero weight.
+Routing statistics route through the same router call `forward` makes.
 
 Integration modes: "append" adds the mixture residually (y = x + MS(x));
 "replace" substitutes the mixture for an existing feed-forward layer
@@ -112,16 +113,6 @@ class MoEModule:
             raise DuplicateTaskError(f"router for task {task_id} exists")
         self.routers[task_id] = Linear(self.d_in, self.n_experts, rng)
 
-    def router_logits(self, x: np.ndarray, task_id: int) -> np.ndarray:
-        if task_id not in self.routers:
-            raise UnknownTaskError(task_id)
-        r = self.routers[task_id]
-        return (x.reshape(1, -1) @ r.w.data + r.b.data).reshape(-1)
-
-    def gate(self, x: np.ndarray, task_id: int) -> GatingResult:
-        return topk_s_select(self.router_logits(x, task_id),
-                             self.k_top, self.shared_idx)
-
     def forward(self, x: ad.Tensor, task_id: int) -> ad.Tensor:
         """Differentiable mixture output for one (1, d_in) input, or under
         `ad.no_grad` for a (B, 1, d_in) stack of them.
@@ -165,15 +156,21 @@ class MoEModule:
         return mix
 
     def routing_stats(self, inputs, task_id: int) -> np.ndarray:
-        """Per-expert selection fraction over a batch of inputs."""
-        inputs = list(inputs)
-        if not inputs:
+        """Per-expert selection fraction over a batch of d_in vectors, routed
+        by one no-grad router call on their (N, 1, d_in) stack, as `forward`."""
+        x = np.asarray(list(inputs), dtype=np.float64)
+        if not len(x):
             raise ValueError("routing_stats needs at least one input")
+        if task_id not in self.routers:
+            raise UnknownTaskError(task_id)
+        with ad.no_grad():
+            logits = self.routers[task_id](
+                ad.constant(x.reshape(len(x), 1, self.d_in)))
         counts = np.zeros(self.n_experts)
-        for x in inputs:
-            for i in self.gate(np.asarray(x, dtype=np.float64), task_id).selected:
+        for row in logits.data.reshape(len(x), self.n_experts):
+            for i in topk_s_select(row, self.k_top, self.shared_idx).selected:
                 counts[i] += 1
-        return counts / len(inputs)
+        return counts / len(x)
 
     def parameters(self, prefix: str) -> dict[str, ad.Tensor]:
         out: dict[str, ad.Tensor] = {}

@@ -35,43 +35,39 @@ def emit_km_csv(model: SurvivalModel, task: TaskData, out_path) -> tuple[float, 
     times = task.times
     events = 1 - task.censor
     chi2, p = log_rank_test(times[~high], events[~high], times[high], events[high])
-    significant = p < SIGNIFICANCE_LEVEL
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "time", "survival", "chi2", "p", "significant"])
-        for name, mask in (("low", ~high), ("high", high)):
-            ts, ss = km_estimator(times[mask], events[mask])
-            for t, s in zip(ts, ss):
-                writer.writerow([name, f"{t:.9g}", f"{s:.9g}",
-                                 f"{chi2:.9g}", f"{p:.9g}", int(significant)])
+    significant = int(p < SIGNIFICANCE_LEVEL)
+    _write_csv(out_path, ["group", "time", "survival", "chi2", "p", "significant"],
+               ([name, f"{t:.9g}", f"{s:.9g}", f"{chi2:.9g}", f"{p:.9g}",
+                 significant]
+                for name, mask in (("low", ~high), ("high", high))
+                for t, s in zip(*km_estimator(times[mask], events[mask]))))
     return chi2, p
 
 
-def write_matrix_csv(matrix: np.ndarray, path) -> None:
-    k = matrix.shape[1]
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row"] + [f"task{j}" for j in range(k)])
-        for r in range(matrix.shape[0]):
-            label = "initial" if r == 0 else f"after_task{r - 1}"
-            writer.writerow([label] + [
-                "" if np.isnan(v) else f"{v:.9g}" for v in matrix[r]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_matrix_csv(matrix: np.ndarray, path) -> None:
+    _write_csv(path, ["row"] + [f"task{j}" for j in range(matrix.shape[1])],
+               (["initial" if r == 0 else f"after_task{r - 1}"]
+                + ["" if np.isnan(v) else f"{v:.9g}" for v in values]
+                for r, values in enumerate(matrix)))
 
 
 def write_routing_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id", "module_site", "expert_idx", "proportion"])
-        for task_id, site, expert, prop in rows:
-            writer.writerow([task_id, site, expert, f"{prop:.9g}"])
+    _write_csv(path, ["task_id", "module_site", "expert_idx", "proportion"],
+               ([task_id, site, expert, f"{prop:.9g}"]
+                for task_id, site, expert, prop in rows))
 
 
 def write_curves_csv(curves, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_id", "epoch", "train_loss", "val_c_index"])
-        for task_id, epoch, loss, val_c in curves:
-            writer.writerow([task_id, epoch, f"{loss:.9g}", f"{val_c:.9g}"])
+    _write_csv(path, ["task_id", "epoch", "train_loss", "val_c_index"],
+               ([task_id, epoch, f"{loss:.9g}", f"{val_c:.9g}"]
+                for task_id, epoch, loss, val_c in curves))
 
 
 def run_metrics(result: SequenceResult) -> dict:

@@ -107,8 +107,8 @@ class TestForward:
         altered = CaseRecord(case.case_id, case.patches,
                              tuple(g + 1.0 for g in case.groups),
                              case.time, case.censored, label=case.label)
-        f_a = model.encode_patches(case, 0).data
-        f_b = model.encode_patches(altered, 0).data
+        f_a = model.forward(case, 0)[1].data
+        f_b = model.forward(altered, 0)[1].data
         assert not np.allclose(f_a, f_b)
 
     def test_no_grad_forward_equals_the_taped_forward(self, model):

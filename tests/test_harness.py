@@ -301,6 +301,30 @@ class TestRunSequence:
         s = res.summary()["c_index"]
         assert set(s) == {"average"}  # transfer metrics undefined
 
+    def test_joint_calls_the_step_hook_after_every_step(self, stream,
+                                                         monkeypatch):
+        cfg = MethodConfig(method="joint", epochs=2, seed=0, **TINY_KW)
+        steps, hooked = [], []
+        step = AdamW.step
+
+        def counted_step(opt, grads):
+            step(opt, grads)
+            steps.append(len(steps))
+
+        monkeypatch.setattr(AdamW, "step", counted_step)
+        res = run_sequence(cfg, stream,
+                           step_hook=lambda model: hooked.append(len(steps)))
+        n_steps = cfg.epochs * sum(len(tr) for tr, _ in res.splits)
+        assert len(steps) == n_steps
+        assert hooked == list(range(1, n_steps + 1))
+        monkeypatch.undo()
+        plain = run_sequence(cfg, stream)
+        assert model_states_equal(res.model.get_state(),
+                                  plain.model.get_state())
+        for name, pm in res.matrices.items():
+            assert np.array_equal(pm.values, plain.matrices[name].values,
+                                  equal_nan=True), name
+
     def test_derpp_stores_logits(self, stream):
         cfg = MethodConfig(method="derpp", epochs=1, seed=0,
                            loss=CLLossConfig(alpha=0.1, beta=0.5), **TINY_KW)

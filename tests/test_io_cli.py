@@ -383,7 +383,8 @@ def checkpoint_file(stream, tmp_path_factory):
 
 class TestScoringRefusals:
     """km and routing refuse, before any forward, a task the checkpoint has
-    no head for and cases of a patch width other than its own."""
+    no head for, cases of a patch width other than its own and genomic
+    groups wider than its own."""
 
     @pytest.fixture
     def no_forward(self, monkeypatch):
@@ -415,6 +416,15 @@ class TestScoringRefusals:
         err = self._refuse(generate_stream(replace(GEN, d_patch=12)), 0,
                            tmp_path, capsys, checkpoint_file, verb)
         assert "has patch width 12; the checkpoint's patch width is 8" in err
+
+    @pytest.mark.parametrize("verb", ["km", "routing"])
+    def test_wider_genomic_groups_exit_2(self, tmp_path, capsys, no_forward,
+                                         checkpoint_file, verb):
+        wide = replace(GEN, group_dims=(9, 4, 3, 6, 2, 4))
+        err = self._refuse(generate_stream(wide), 0, tmp_path, capsys,
+                           checkpoint_file, verb)
+        assert ("has a genomic group of width 9; the checkpoint's genomic "
+                "width is 6") in err
 
 
 def _state_bytes(model):
