@@ -1,11 +1,11 @@
 """Task files and task-stream (de)serialization.
 
 A stream directory holds `manifest.json` (version 2, the task order) and one
-uncompressed `.npz` task file per task with per-case `case_id`, `time`,
-`censored` and `n_patches`, every patch bag stacked in `patches` (f32), one
-row of side-by-side genomic groups per case in `groups` (f32), and the
-`group_widths`. Task files, replay buffers and checkpoints are all read
-through `read_npz`, so any damage raises `CorruptFileError`.
+uncompressed `.npz` task file per task. `case_columns` lays out its cases as
+it does a replay buffer's: `case_id`, `time`, `censored`, `n_patches` and the
+stacked patch bags in `patches` (f32 here); a task file adds one row of
+genomic groups per case in `groups` (f32) and their `group_widths`. Every
+.npz is read through `read_npz`, so any damage raises `CorruptFileError`.
 
 Features are upcast to 64-bit on ingest; bin grids and labels are recomputed
 from the ingested times, so serialising and re-ingesting a stream is lossless.
@@ -114,6 +114,38 @@ class DimensionMismatchError(ValueError):
     """Declared dimensions disagree with the payload."""
 
 
+def case_columns(cases: list[CaseRecord], dtype) -> dict[str, np.ndarray]:
+    """The members that lay out `cases` in a task file or a replay buffer,
+    every patch bag stacked in `patches` as `dtype`; groups are the caller's."""
+    return {
+        "case_id": np.array([c.case_id for c in cases], dtype=str),
+        "time": np.array([c.time for c in cases], dtype=np.float64),
+        "censored": np.array([c.censored for c in cases], dtype=np.uint8),
+        "n_patches": np.array([c.patches.shape[0] for c in cases], dtype=np.int64),
+        "patches": np.concatenate([c.patches for c in cases] or [np.empty((0, 0))],
+                                  dtype=dtype),
+    }
+
+
+def column_cases(z, groups: np.ndarray, widths: np.ndarray) -> list[CaseRecord]:
+    """The cases of `case_columns` members in `z`, in float64; case i's groups
+    are the next `widths[i]` values of the 1-D `groups`, `widths` being (n, 6)."""
+    ids, times = z["case_id"].tolist(), z["time"].tolist()
+    censored, counts = z["censored"].tolist(), z["n_patches"].tolist()
+    patches = z["patches"].astype(np.float64, copy=False)
+    if not len(ids) == len(times) == len(censored) == len(counts) == len(widths):
+        raise ValueError("per-case members differ in length")
+    if min(counts, default=1) < 1 or sum(counts) != patches.shape[0]:
+        raise ValueError("n_patches do not cover the patch rows")
+    if (widths < 0).any() or widths.sum() != groups.size:
+        raise ValueError("group widths do not cover the groups")
+    rows, ends = np.cumsum([0] + counts).tolist(), np.cumsum(widths).tolist()
+    cuts, k = [groups[a:b] for a, b in zip([0] + ends, ends)], widths.shape[1]
+    return [CaseRecord(cid, patches[rows[i]:rows[i + 1]],
+                       tuple(cuts[i * k:i * k + k]), times[i], censored[i])
+            for i, cid in enumerate(ids)]
+
+
 def write_task_file(path, cases: list[CaseRecord]) -> None:
     """Write `cases` as an uncompressed `.npz` task file at exactly `path`."""
     widths = [g.size for g in cases[0].groups]
@@ -121,42 +153,19 @@ def write_task_file(path, cases: list[CaseRecord]) -> None:
         if [g.size for g in c.groups] != widths:
             raise DimensionMismatchError(
                 f"{path}: case {c.case_id} group widths differ")
-    arrays = {
-        "case_id": np.array([c.case_id for c in cases], dtype=str),
-        "time": np.array([c.time for c in cases], dtype=np.float64),
-        "censored": np.array([c.censored for c in cases], dtype=np.uint8),
-        "n_patches": np.array([c.patches.shape[0] for c in cases], dtype=np.int64),
-        "patches": np.concatenate([c.patches for c in cases], dtype="<f4"),
-        "groups": np.array([np.concatenate(c.groups) for c in cases], dtype="<f4"),
-        "group_widths": np.array(widths, dtype=np.int64),
-    }
+    arrays = case_columns(cases, "<f4")
+    arrays["groups"] = np.array([np.concatenate(c.groups) for c in cases],
+                                dtype="<f4")
+    arrays["group_widths"] = np.array(widths, dtype=np.int64)
     with open(path, "wb") as fh:  # a handle: numpy appends no suffix
         np.savez(fh, **arrays)
 
 
 def read_task_file(path) -> list[CaseRecord]:
     """Read a `write_task_file` file; any damage raises `CorruptFileError`."""
-    return read_npz(path, "task file", _read)
-
-
-def _read(z) -> list[CaseRecord]:
-    ids, times = z["case_id"].tolist(), z["time"].tolist()
-    censored, counts = z["censored"].tolist(), z["n_patches"].tolist()
-    patches = z["patches"].astype(np.float64)
-    groups = z["groups"].astype(np.float64)
-    widths = z["group_widths"].tolist()
-    if not len(ids) == len(times) == len(censored) == len(counts) == len(groups):
-        raise ValueError("per-case members differ in length")
-    if min(counts, default=1) < 1 or sum(counts) != patches.shape[0]:
-        raise ValueError("n_patches do not cover the patch rows")
-    if sum(widths) != groups.shape[1]:
-        raise ValueError(f"group widths do not sum to {groups.shape[1]}")
-    rows = np.cumsum([0] + counts).tolist()
-    cols = np.cumsum([0] + widths).tolist()
-    return [CaseRecord(cid, patches[rows[i]:rows[i + 1]],
-                       tuple(groups[i, a:b] for a, b in zip(cols, cols[1:])),
-                       times[i], censored[i])
-            for i, cid in enumerate(ids)]
+    return read_npz(path, "task file", lambda z: column_cases(
+        z, z["groups"].astype(np.float64).ravel(),
+        np.tile(z["group_widths"], (len(z["groups"]), 1))))
 
 
 def save_stream(stream: TaskStream, directory) -> None:

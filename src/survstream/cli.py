@@ -75,11 +75,15 @@ def load_config(path) -> dict:
     if src_type not in ("synthetic", "directory"):
         raise ConfigError("source.type must be 'synthetic' or 'directory'")
     if src_type == "synthetic":
-        gen = dict(cfg["source"].get("generator", {}))
-        _check_keys(gen, set(GeneratorConfig.__dataclass_fields__),
-                    "source.generator")
-    elif "path" not in cfg["source"]:
-        raise ConfigError("directory source requires 'path'")
+        try:  # the constructor refuses unknown keys and bad values itself
+            GeneratorConfig(**{"seed": 0, "n_bins": cfg.get("n_bins", N_BINS),
+                               **cfg["source"].get("generator", {})})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"source.generator: {exc}") from exc
+    elif not isinstance(cfg["source"].get("path"), str):
+        raise ConfigError("directory source requires a string 'path'")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError("output_dir must be a string")
     est_kwargs = {k: cfg[k] for k in _EST_KEYS if k in cfg}
     try:
         require_int("n_bins", cfg.get("n_bins", N_BINS), 2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bagio import read_npz
+from .bagio import case_columns, column_cases, read_npz
 from .data import CaseRecord, N_GENOMIC_GROUPS
 from .survival import SurvLossConfig, nll_survival_loss
 
@@ -83,30 +83,22 @@ class ReplayBuffer:
     # ------------------------------------------------------------ serialization
 
     def save(self, path) -> None:
-        """Write an uncompressed `.npz` archive at exactly `path`.
-
-        Per-item scalars are one array each; item i's arrays are stored
-        under `i/<name>`, with `i/logits` present only where `has_logits`
-        says so.
-        """
-        items = self.items
-        arrays = {
-            "capacity": np.int64(self.capacity),
-            "seen_count": np.int64(self.seen_count),
-            "case_id": np.array([it.case.case_id for it in items], dtype=str),
-            "task_id": np.array([it.task_id for it in items], dtype=np.int64),
-            "time": np.array([it.case.time for it in items], dtype=np.float64),
-            "censored": np.array([it.case.censored for it in items], dtype=np.int64),
-            "label": np.array([it.case.label for it in items], dtype=np.int64),
-            # explicit, so a member lost from a damaged archive is an error
-            "has_logits": np.array([it.logits is not None for it in items]),
-        }
-        for i, it in enumerate(items):
-            arrays[f"{i}/patches"] = it.case.patches
-            arrays.update((f"{i}/group{j}", g) for j, g in enumerate(it.case.groups))
-            arrays.update((f"{i}/{f}", getattr(it, f)) for f in _FEATURES)
-            if it.logits is not None:
-                arrays[f"{i}/logits"] = it.logits
+        """Write an uncompressed `.npz` archive at exactly `path`: the cases
+        in `bagio.case_columns` (f64 patches), their genomic groups back to
+        back with an (n, 6) width table, and per item its label, task id,
+        frozen features and, where `has_logits` says so, logits."""
+        items, cases = self.items, [it.case for it in self.items]
+        arrays = case_columns(cases, np.float64)
+        arrays.update(
+            label=np.array([c.label for c in cases], dtype=np.int64),
+            task_id=np.array([it.task_id for it in items], dtype=np.int64),
+            groups=np.concatenate([np.empty(0)] + [g for c in cases for g in c.groups]),
+            group_widths=np.array([[g.size for g in c.groups] for c in cases],
+                                  dtype=np.int64).reshape(-1, N_GENOMIC_GROUPS),
+            has_logits=np.array([it.logits is not None for it in items], dtype=bool),
+            logits=np.array([it.logits for it in items if it.logits is not None]),
+            capacity=np.int64(self.capacity), seen_count=np.int64(self.seen_count),
+            **{f: np.array([getattr(it, f) for it in items]) for f in _FEATURES})
         with open(path, "wb") as fh:  # a handle: numpy appends no suffix
             np.savez(fh, **arrays)
 
@@ -119,16 +111,16 @@ class ReplayBuffer:
     def _read(cls, z) -> "ReplayBuffer":
         buf = cls(int(z["capacity"]))
         buf.seen_count = int(z["seen_count"])
-        ids, tasks = z["case_id"].tolist(), z["task_id"].tolist()
-        times, censor = z["time"].tolist(), z["censored"].tolist()
-        labels, has_logits = z["label"].tolist(), z["has_logits"].tolist()
-        for i, cid in enumerate(ids):
-            groups = tuple(z[f"{i}/group{j}"] for j in range(N_GENOMIC_GROUPS))
-            case = CaseRecord(cid, z[f"{i}/patches"], groups, times[i],
-                              censor[i], label=labels[i])
-            logits = z[f"{i}/logits"] if has_logits[i] else None
-            buf.items.append(ReplayItem(
-                case, tasks[i], *(z[f"{i}/{f}"] for f in _FEATURES), logits))
+        cases = column_cases(z, z["groups"], z["group_widths"])
+        columns = [z[k] for k in ("label", "task_id", "has_logits", *_FEATURES)]
+        if (any(len(c) != len(cases) for c in columns)
+                or sum(z["has_logits"]) != len(z["logits"])):
+            raise ValueError("per-item members differ in length")
+        logits = iter(z["logits"])
+        for case, label, task_id, has_logits, *features in zip(cases, *columns):
+            case.label = int(label)
+            buf.items.append(ReplayItem(case, int(task_id), *features,
+                                        next(logits) if has_logits else None))
         return buf
 
 

@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,58 @@ class TestBufferSerialization:
         except CorruptFileError:
             return
         assert _buffer_fields(back) == _buffer_fields(buf)
+
+    @pytest.mark.parametrize("n_items", [0, 1, 40])
+    def test_member_count_does_not_grow_with_the_items(self, tmp_path, n_items):
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(max(n_items, 1))
+        for i in range(n_items):
+            buf.reservoir_update(make_item(rng, cid=f"case_{i}"), rng)
+        buf.save(tmp_path / "buf.npz")
+        with zipfile.ZipFile(tmp_path / "buf.npz") as zf:
+            assert len(zf.namelist()) == 16
+
+    def test_items_of_two_group_layouts_round_trip(self, tmp_path):
+        # a buffer spans tasks, and each task may have its own group widths
+        rng = np.random.default_rng(6)
+        buf = ReplayBuffer(8)
+        for i in range(7):
+            it = make_item(rng, task_id=i % 2, cid=f"case_{i}")
+            if i % 2:
+                it.case = make_case(rng, n_patches=2 + i, cid=f"case_{i}",
+                                    group_dims=(1, 9, 2, 2, 5, 3))
+            if i % 3:
+                it.logits = rng.normal(size=(1, 4))
+            buf.reservoir_update(it, rng)
+        buf.save(tmp_path / "buf.npz")
+        back = ReplayBuffer.load(tmp_path / "buf.npz")
+        assert _buffer_fields(back) == _buffer_fields(buf)
+
+    def test_an_old_layout_buffer_is_a_corrupt_file(self, tmp_path):
+        # one member per item array under `i/<name>`
+        buf, _ = _saved_buffer(tmp_path)
+        arrays = {"capacity": np.int64(buf.capacity),
+                  "seen_count": np.int64(buf.seen_count),
+                  "case_id": np.array([it.case.case_id for it in buf.items]),
+                  "task_id": np.array([it.task_id for it in buf.items]),
+                  "time": np.array([it.case.time for it in buf.items]),
+                  "censored": np.array([it.case.censored for it in buf.items]),
+                  "label": np.array([it.case.label for it in buf.items]),
+                  "has_logits": np.array([it.logits is not None
+                                          for it in buf.items])}
+        for i, it in enumerate(buf.items):
+            arrays[f"{i}/patches"] = it.case.patches
+            arrays.update((f"{i}/group{j}", g)
+                          for j, g in enumerate(it.case.groups))
+            arrays.update({f"{i}/f_patch": it.f_patch,
+                           f"{i}/f_genomic": it.f_genomic,
+                           f"{i}/f_fused": it.f_fused})
+            if it.logits is not None:
+                arrays[f"{i}/logits"] = it.logits
+        with open(tmp_path / "old.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(CorruptFileError, match="replay buffer"):
+            ReplayBuffer.load(tmp_path / "old.npz")
 
     @pytest.mark.parametrize("method", [1, 8, 12, 99])
     def test_unknown_compression_method_is_a_corrupt_file(self, tmp_path,

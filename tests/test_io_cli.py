@@ -677,7 +677,18 @@ class TestConfigValues:
            "n_bins a float": {"n_bins": 4.0},
            "seed a string": {"seeds": ["a"]},
            "seed a float": {"seeds": [0, 1.5]},
-           "seed a bool": {"seeds": [True]}}
+           "seed a bool": {"seeds": [True]},
+           "censor_rate above 1": {"source": {"type": "synthetic",
+                                              "generator": {"censor_rate": 2.0}}},
+           "five group_dims": {"source": {"type": "synthetic",
+                                          "generator": {"group_dims": [5, 4, 3, 6, 2]}}},
+           "unknown generator key": {"source": {"type": "synthetic",
+                                                "generator": {"n_genes": 3}}},
+           "generator not a mapping": {"source": {"type": "synthetic",
+                                                  "generator": [2, 60]}},
+           "output_dir a number": {"output_dir": 5},
+           "source path a number": {"source": {"type": "directory", "path": 5}},
+           "directory source without a path": {"source": {"type": "directory"}}}
 
     @pytest.mark.parametrize("attn_dim", [0, True, 2.0])
     def test_method_config_refuses_an_attn_dim(self, attn_dim):
@@ -691,10 +702,13 @@ class TestConfigValues:
             load_config(write_config(tmp_path, **self.BAD[case]))
 
     @pytest.mark.parametrize("case", sorted(BAD))
-    def test_run_exits_1_before_writing_output(self, tmp_path, capsys, case):
-        assert main(["run", str(write_config(tmp_path, **self.BAD[case]))]) == 1
+    def test_run_exits_1_before_writing_output(self, tmp_path, capsys,
+                                               monkeypatch, case):
+        monkeypatch.chdir(tmp_path)  # where a relative output_dir would go
+        config = write_config(tmp_path, **self.BAD[case])
+        assert main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
-        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.iterdir()) == [config]
 
 
 class TestCLI:
