@@ -26,9 +26,9 @@ import numpy as np
 from .bagio import (CorruptFileError, DimensionMismatchError, ingest_stream,
                     ingest_task, save_stream)
 from .checkpoint import CheckpointMismatchError, load_model, save_model
-from .data import N_BINS, TaskData, TaskStream
+from .data import N_BINS, TaskData, TaskStream, require_int
 from .estimator import ContinualSurvivalEstimator
-from .harness import METHODS, collect_routing, require_int
+from .harness import METHODS, collect_routing
 from .model import SurvivalModel
 from .reports import (SIGNIFICANCE_LEVEL, aggregate_metrics, emit_km_csv,
                       write_routing_csv, write_run_reports)

@@ -8,6 +8,7 @@ ordered sequence of task datasets, each carrying its own time-bin grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -15,6 +16,12 @@ from .survival import BinSpec, compute_bins
 
 N_GENOMIC_GROUPS = 6
 N_BINS = 4  # time bins per task where a caller does not choose
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Refuse a bool, a non-integer or an integer below `low`."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import TaskData, TaskStream
+from .data import TaskData, TaskStream, require_int
 from .fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
                   replay_terms, total_loss)
 from .model import ModelConfig, SurvivalModel
@@ -40,12 +39,6 @@ METHODS = ("finetune", "joint") + REPLAY_METHODS
 _INT_MINIMA = {"epochs": 0, "buffer_capacity": 1, "latent": 1, "hidden": 1,
                "attn_dim": 1, "n_experts": 1, "k_top": 0, "n_folds": 2,
                "fold": 0, "seed": 0}
-
-
-def require_int(name: str, value, low: int) -> None:
-    """Refuse a bool, a non-integer or an integer below `low`."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

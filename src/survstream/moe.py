@@ -3,8 +3,10 @@
 A module owns a fixed pool of two-layer FFN experts plus one linear router
 per task. Gating selects the shared expert (last index by convention) and the
 top-k scoring remaining experts, masks the rest to -inf and softmax-normalises
-over the full pool, so non-selected experts get exactly zero weight.
-Routing statistics route through the same router call `forward` makes.
+over the full pool, so non-selected experts get exactly zero weight. The gate
+selects for a whole stack of rows in one array operation, as a bool mask:
+`forward` gates once per stack, and `routing_stats` counts a batch with one
+`topk_s_select` call through the same router call `forward` makes.
 
 Integration modes: "append" adds the mixture residually (y = x + MS(x));
 "replace" substitutes the mixture for an existing feed-forward layer
@@ -31,38 +33,40 @@ class DuplicateTaskError(ValueError):
 
 @dataclass(frozen=True)
 class GatingResult:
-    """Outcome of one gating decision over the expert pool."""
+    """Outcome of gating every row of a (..., n_experts) logit array."""
 
-    selected: frozenset[int]
-    weights: np.ndarray  # (n_experts,), zero off-support, sums to 1
+    selected: np.ndarray  # bool mask of the logits' shape
+    weights: np.ndarray   # the logits' shape, zero off-support, rows sum to 1
 
 
-def _select(logits: np.ndarray, k_top: int, shared_idx: int) -> frozenset[int]:
-    """Shared expert plus the k_top largest remaining logits; ties go to the
-    lowest expert index."""
-    n = logits.size
+def _select(logits: np.ndarray, k_top: int, shared_idx: int) -> np.ndarray:
+    """(B, n) bool mask: each row's shared expert plus its k_top largest
+    remaining logits. A stable sort keeps equal logits in ascending index
+    order, so ties go to the lowest expert index."""
+    n_rows, n = logits.shape
     if k_top + 1 > n:
         raise ValueError(f"k_top={k_top} + shared needs more than {n} experts")
-    vals = logits.tolist()  # Python floats sort much faster than numpy scalars
-    rest = [i for i in range(n) if i != shared_idx]
-    # stable sort on negated logits: equal logits keep ascending index order
-    order = sorted(rest, key=lambda i: (-vals[i], i))
-    return frozenset(order[:k_top]) | {shared_idx}
+    order = np.argsort(-logits, axis=1, kind="stable")
+    top = order[order != shared_idx].reshape(n_rows, n - 1)[:, :k_top]
+    chosen = np.zeros((n_rows, n), dtype=bool)
+    chosen[np.arange(n_rows)[:, None], top] = True
+    chosen[:, shared_idx] = True
+    return chosen
 
 
 def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
-    """Shared expert plus the k_top largest remaining logits.
+    """Shared expert plus the k_top largest remaining logits, for every row
+    of a (..., n_experts) array at once.
 
     Ties are broken toward the lowest expert index. Non-selected logits are
     masked to -inf before the softmax, so their weights are exactly zero.
     """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    selected = _select(logits, k_top, shared_idx)
-    n = logits.size
-    masked = np.where([i in selected for i in range(n)], logits, -np.inf)
-    m = masked[np.isfinite(masked)].max()
-    e = np.where(np.isfinite(masked), np.exp(np.where(np.isfinite(masked), masked - m, 0.0)), 0.0)
-    return GatingResult(selected, e / e.sum())
+    logits = np.asarray(logits, dtype=np.float64)
+    chosen = _select(logits.reshape(-1, logits.shape[-1]), k_top,
+                     shared_idx).reshape(logits.shape)
+    masked = np.where(chosen, logits, -np.inf)
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    return GatingResult(chosen, e / e.sum(axis=-1, keepdims=True))
 
 
 def _take(t: ad.Tensor, rows: list[int]) -> ad.Tensor:
@@ -126,21 +130,20 @@ class MoEModule:
             raise UnknownTaskError(task_id)
         logits = self.routers[task_id](x)
         # the selection only: ad.softmax below makes the weights
-        selections = [_select(row, self.k_top, self.shared_idx)
-                      for row in logits.data.reshape(-1, self.n_experts)]
-        mask = np.where([[i in sel for i in range(self.n_experts)]
-                         for sel in selections], 0.0, -np.inf)
-        mask = ad.constant(mask.reshape(logits.shape))
+        chosen = _select(logits.data.reshape(-1, self.n_experts), self.k_top,
+                         self.shared_idx)
+        mask = ad.constant(np.where(chosen, 0.0, -np.inf).reshape(logits.shape))
         weights = ad.softmax(ad.add(logits, mask))
-        rows_of = [[] for _ in range(self.n_experts)]  # rows choosing each
-        for r, sel in enumerate(selections):
-            for i in sel:
-                rows_of[i].append(r)
-        started = [False] * len(selections)  # rows whose mixture has a term
+        # each expert's rows, ascending: expert 0's first, then expert 1's...
+        rows_all = np.nonzero(chosen.T)[1].tolist()
+        started = [False] * len(chosen)  # rows whose mixture has a term
         mix = None
-        for i, rows in enumerate(rows_of):
-            if not rows:
+        end = 0
+        for i, count in enumerate(chosen.sum(axis=0).tolist()):
+            if not count:
                 continue
+            rows = rows_all[end:end + count]
+            end += count
             term = ad.mul(ad.col(_take(weights, rows), i),
                           self.experts[i](_take(x, rows)))
             later = [k for k, r in enumerate(rows) if started[r]]
@@ -166,11 +169,9 @@ class MoEModule:
         with ad.no_grad():
             logits = self.routers[task_id](
                 ad.constant(x.reshape(len(x), 1, self.d_in)))
-        counts = np.zeros(self.n_experts)
-        for row in logits.data.reshape(len(x), self.n_experts):
-            for i in topk_s_select(row, self.k_top, self.shared_idx).selected:
-                counts[i] += 1
-        return counts / len(x)
+        gate = topk_s_select(logits.data.reshape(len(x), self.n_experts),
+                             self.k_top, self.shared_idx)
+        return gate.selected.sum(axis=0) / len(x)
 
     def parameters(self, prefix: str) -> dict[str, ad.Tensor]:
         out: dict[str, ad.Tensor] = {}

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CaseRecord, N_BINS, TaskData, TaskStream, build_task
+from .data import (CaseRecord, N_BINS, TaskData, TaskStream, build_task,
+                   require_int)
 
 
 class GenerationError(ValueError):
@@ -43,6 +44,17 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_tasks", "cases_per_task", "d_patch"):
+            require_int(name, getattr(self, name), 1)
+        try:
+            low, high = self.n_patches
+        except (TypeError, ValueError):
+            raise ValueError("n_patches must be two integers (low, high), "
+                             f"got {self.n_patches!r}") from None
+        require_int("n_patches low", low, 1)
+        require_int("n_patches high", high, low)
+        if not 0.0 <= self.signal_fraction <= 1.0:
+            raise ValueError("signal_fraction must lie in [0, 1]")
         if not 0.0 <= self.censor_rate < 1.0:
             raise ValueError("censor_rate must lie in [0, 1)")
         if min(self.shared_scale, self.specific_scale, self.cross_scale) < 0:

@@ -84,9 +84,8 @@ def _forward_fractions(model, cases, task_id) -> dict[str, np.ndarray]:
     finally:
         moe._select = select
     counts = np.zeros((3, model.cfg.n_experts))
-    for i, selected in enumerate(seen):
-        for e in selected:
-            counts[i % 3, e] += 1
+    for i, chosen in enumerate(seen):  # one case's (1, n_experts) mask
+        counts[i % 3] += chosen[0]
     return dict(zip(("patch", "genomic", "fusion"), counts / len(cases)))
 
 

@@ -686,6 +686,24 @@ class TestConfigValues:
                                                 "generator": {"n_genes": 3}}},
            "generator not a mapping": {"source": {"type": "synthetic",
                                                   "generator": [2, 60]}},
+           "n_tasks a string": {"source": {"type": "synthetic",
+                                           "generator": {"n_tasks": "a"}}},
+           "zero cases_per_task": {"source": {"type": "synthetic",
+                                              "generator": {"cases_per_task": 0}}},
+           "zero d_patch": {"source": {"type": "synthetic",
+                                       "generator": {"d_patch": 0}}},
+           "n_patches reversed": {"source": {"type": "synthetic",
+                                             "generator": {"n_patches": [6, 3]}}},
+           "n_patches from zero": {"source": {"type": "synthetic",
+                                              "generator": {"n_patches": [0, 2]}}},
+           "n_patches one number": {"source": {"type": "synthetic",
+                                               "generator": {"n_patches": 5}}},
+           "n_patches three numbers": {"source": {"type": "synthetic",
+                                                  "generator": {"n_patches": [1, 2, 3]}}},
+           "n_patches floats": {"source": {"type": "synthetic",
+                                           "generator": {"n_patches": [1.0, 2.0]}}},
+           "signal_fraction above 1": {"source": {"type": "synthetic",
+                                                  "generator": {"signal_fraction": 1.5}}},
            "output_dir a number": {"output_dir": 5},
            "source path a number": {"source": {"type": "directory", "path": 5}},
            "directory source without a path": {"source": {"type": "directory"}}}

@@ -7,33 +7,47 @@ from hypothesis import strategies as st
 
 from survstream import autodiff as ad
 from survstream.moe import (DuplicateTaskError, MoEModule, UnknownTaskError,
-                            topk_s_select)
+                            _select, topk_s_select)
+
+
+def _oracle_select(logits, k_top: int, shared_idx: int) -> frozenset[int]:
+    """One row's selection, the way the gate made it row by row: a sort on
+    (-logit, index), so ties go to the lowest expert index."""
+    vals = list(logits)
+    rest = [i for i in range(len(vals)) if i != shared_idx]
+    order = sorted(rest, key=lambda i: (-vals[i], i))
+    return frozenset(order[:k_top]) | {shared_idx}
+
+
+def _chosen(g) -> frozenset[int]:
+    """The experts a one-row gating result selects."""
+    return frozenset(np.flatnonzero(g.selected).tolist())
 
 
 class TestTopKSSelect:
     def test_shared_always_in(self):
         # shared expert scores lowest but is still selected
         g = topk_s_select([5.0, 4.0, 3.0, -100.0], k_top=2, shared_idx=3)
-        assert g.selected == frozenset({0, 1, 3})
+        assert _chosen(g) == frozenset({0, 1, 3})
 
     def test_top_scores_win(self):
         g = topk_s_select([1.0, 9.0, 2.0, 8.0, 0.0], k_top=2, shared_idx=4)
-        assert g.selected == frozenset({1, 3, 4})
+        assert _chosen(g) == frozenset({1, 3, 4})
 
     def test_tie_breaks_to_lowest_index(self):
         g = topk_s_select([2.0, 2.0, 2.0, 0.0], k_top=2, shared_idx=3)
-        assert g.selected == frozenset({0, 1, 3})
+        assert _chosen(g) == frozenset({0, 1, 3})
 
     def test_weights_zero_off_support(self):
         g = topk_s_select([1.0, 2.0, 3.0, 4.0, 0.0], k_top=2, shared_idx=4)
-        off = [i for i in range(5) if i not in g.selected]
+        off = [i for i in range(5) if i not in _chosen(g)]
         assert all(g.weights[i] == 0.0 for i in off)
 
     def test_weights_hand_case(self):
         # selected logits 0, log 2, log 4 -> weights 1/7, 2/7, 4/7
         g = topk_s_select([math.log(2), math.log(4), -50.0, 0.0],
                           k_top=2, shared_idx=3)
-        assert g.selected == frozenset({0, 1, 3})
+        assert _chosen(g) == frozenset({0, 1, 3})
         assert np.allclose(g.weights, [2 / 7, 4 / 7, 0.0, 1 / 7], atol=1e-12)
 
     def test_support_size_exceeds_pool(self):
@@ -48,8 +62,8 @@ class TestTopKSSelect:
         if k_top + 1 > n:
             k_top = n - 1
         g = topk_s_select(logits, k_top=k_top, shared_idx=n - 1)
-        assert len(g.selected) == k_top + 1
-        assert n - 1 in g.selected
+        assert g.selected.sum() == k_top + 1
+        assert g.selected[n - 1]
         assert abs(g.weights.sum() - 1.0) < 1e-12
         assert (g.weights >= 0.0).all()
 
@@ -69,15 +83,58 @@ class TestTopKSSelect:
         e = np.zeros(n)
         e[selected] = np.exp(x[selected] - x[selected].max())
         g = topk_s_select(logits, k_top=k_top, shared_idx=shared)
-        assert sorted(g.selected) == selected
+        assert np.flatnonzero(g.selected).tolist() == selected
         assert np.array_equal(g.weights, e / e.sum())
+
+
+# rounded logits make ties common; -0.0 and 0.0 compare equal
+_TIED = st.one_of(st.just(0.0), st.just(-0.0),
+                  st.floats(-3, 3).map(lambda v: round(v, 1)))
+
+
+@st.composite
+def logit_stacks(draw):
+    """A (B, n) logit stack with any valid k_top and shared index."""
+    n = draw(st.integers(2, 10))
+    b = draw(st.integers(1, 40))
+    values = draw(st.lists(_TIED, min_size=b * n, max_size=b * n))
+    return (np.array(values).reshape(b, n), draw(st.integers(0, n - 1)),
+            draw(st.integers(0, n - 1)))
+
+
+class TestStackedGate:
+    @settings(max_examples=300, deadline=None)
+    @given(logit_stacks())
+    def test_select_equals_the_row_by_row_oracle(self, drawn):
+        logits, k_top, shared = drawn
+        chosen = _select(logits, k_top, shared)
+        assert chosen.dtype == bool and chosen.shape == logits.shape
+        for row, mask in zip(logits, chosen):
+            assert (frozenset(np.flatnonzero(mask).tolist())
+                    == _oracle_select(row.tolist(), k_top, shared))
+
+    @settings(max_examples=100, deadline=None)
+    @given(logit_stacks())
+    def test_a_stack_gates_as_its_rows_one_by_one(self, drawn):
+        logits, k_top, shared = drawn
+        g = topk_s_select(logits, k_top, shared)
+        assert g.selected.shape == g.weights.shape == logits.shape
+        for b, row in enumerate(logits):
+            one = topk_s_select(row, k_top, shared)
+            assert g.selected[b].tobytes() == one.selected.tobytes()
+            assert g.weights[b].tobytes() == one.weights.tobytes()
+
+    def test_zero_and_negative_zero_tie(self):
+        # equal logits: the lower index wins whichever sign its zero has
+        chosen = _select(np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]]), 1, 2)
+        assert chosen.tolist() == [[True, False, True], [True, False, True]]
 
 
 def routed(module, x, task_id=0):
     """The gating result of the (1, d_in) input x under the task's router,
     through the router call `MoEModule.forward` makes."""
     logits = module.routers[task_id](ad.constant(x)).data
-    return topk_s_select(logits, module.k_top, module.shared_idx)
+    return topk_s_select(logits[0], module.k_top, module.shared_idx)
 
 
 @pytest.fixture
@@ -108,7 +165,7 @@ class TestMoEModule:
         x = np.random.default_rng(3).normal(size=(1, 6))
         g = routed(replace_module, x)
         manual = np.zeros((1, 3))
-        for i in g.selected:
+        for i in _chosen(g):
             manual += g.weights[i] * replace_module.experts[i](
                 ad.constant(x)).data
         y = replace_module.forward(ad.constant(x), 0)
@@ -117,8 +174,8 @@ class TestMoEModule:
     def test_forward_weights_match_gate(self, replace_module):
         x = np.random.default_rng(4).normal(size=(1, 6))
         g = routed(replace_module, x)
-        assert len(g.selected) == 2
-        assert replace_module.shared_idx in g.selected
+        assert g.selected.sum() == 2
+        assert g.selected[replace_module.shared_idx]
 
     def test_unknown_task(self, append_module):
         with pytest.raises(UnknownTaskError):
@@ -169,7 +226,7 @@ class TestMoEModule:
         for i in range(replace_module.n_experts):
             gnorm = sum(np.abs(grads[k]).sum() for k in grads
                         if f".expert{i}." in k)
-            if i in g.selected:
+            if g.selected[i]:
                 assert gnorm > 0.0
             else:
                 assert gnorm == 0.0

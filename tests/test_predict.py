@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from survstream import autodiff as ad
 from survstream import cli
 from survstream import model as model_module
+from survstream import moe
 from survstream.bagio import save_stream
 from survstream.checkpoint import save_model
 from survstream.harness import (MethodConfig, _evaluate_risks, build_model,
@@ -233,6 +234,18 @@ def test_routing_reads_each_site_once_over_every_chunk(monkeypatch):
                             sizes.append(len(x)) or stats(x, t))
     model.routing(task.cases, task.task_id)
     assert sizes == [len(task.cases)] * 3
+
+
+def test_routing_gates_each_site_once(monkeypatch):
+    stream = generate_stream(GeneratorConfig(n_tasks=1, cases_per_task=300,
+                                             n_patches=(3, 6), seed=5))
+    model, task = build_model(stream, MethodConfig(seed=2)), stream.tasks[0]
+    calls = []
+    gate = moe.topk_s_select
+    monkeypatch.setattr(moe, "topk_s_select", lambda logits, *a:
+                        calls.append(logits.shape) or gate(logits, *a))
+    model.routing(task.cases, task.task_id)
+    assert calls == [(300, N_EXPERTS)] * 3
 
 
 def test_a_non_finite_case_in_a_later_chunk_is_named(monkeypatch):

@@ -116,6 +116,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(cross_scale=-1.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"n_tasks": "a"}, {"n_tasks": 0}, {"n_tasks": True},
+        {"cases_per_task": 0}, {"cases_per_task": 2.5}, {"d_patch": 0},
+        {"n_patches": (6, 3)}, {"n_patches": (0, 2)}, {"n_patches": 5},
+        {"n_patches": (1, 2, 3)}, {"n_patches": (1.0, 2.0)},
+        {"signal_fraction": 1.5}, {"signal_fraction": -0.1},
+        {"signal_fraction": float("nan")}])
+    def test_bad_generator_value(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            GeneratorConfig(**bad)
+
 
 class TestSplitFolds:
     def test_partition(self, stream):
