@@ -129,12 +129,21 @@ def case_columns(cases: list[CaseRecord], dtype) -> dict[str, np.ndarray]:
 
 def column_cases(z, groups: np.ndarray, widths: np.ndarray) -> list[CaseRecord]:
     """The cases of `case_columns` members in `z`, in float64; case i's groups
-    are the next `widths[i]` values of the 1-D `groups`, `widths` being (n, 6)."""
+    are the next `widths[i]` values of the 1-D `groups`, `widths` being (n, 6).
+    A time that is not finite and positive or a censor flag other than 0/1
+    raises `ValueError` naming the case."""
     ids, times = z["case_id"].tolist(), z["time"].tolist()
     censored, counts = z["censored"].tolist(), z["n_patches"].tolist()
     patches = z["patches"].astype(np.float64, copy=False)
     if not len(ids) == len(times) == len(censored) == len(counts) == len(widths):
         raise ValueError("per-case members differ in length")
+    bad = np.flatnonzero(~np.isfinite(z["time"]) | (z["time"] <= 0)
+                         | ~np.isin(z["censored"], (0, 1)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"case {ids[i]!r}: time {times[i]!r}, censored "
+                         f"{censored[i]!r} (a time is finite and positive, "
+                         f"censored is 0 or 1)")
     if min(counts, default=1) < 1 or sum(counts) != patches.shape[0]:
         raise ValueError("n_patches do not cover the patch rows")
     if (widths < 0).any() or widths.sum() != groups.size:

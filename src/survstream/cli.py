@@ -71,6 +71,10 @@ def load_config(path) -> dict:
     _check_keys(cfg["source"], _SOURCE_KEYS, "source")
     if not all(isinstance(cfg[k], list) and cfg[k] for k in ("methods", "seeds")):
         raise ConfigError("methods and seeds must be nonempty lists")
+    for key in ("methods", "seeds"):
+        for i, value in enumerate(cfg[key]):
+            if value in cfg[key][:i]:
+                raise ConfigError(f"{key} lists {value!r} more than once")
     src_type = cfg["source"].get("type")
     if src_type not in ("synthetic", "directory"):
         raise ConfigError("source.type must be 'synthetic' or 'directory'")

@@ -7,8 +7,9 @@ ordered sequence of task datasets, each carrying its own time-bin grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -22,6 +23,12 @@ def require_int(name: str, value, low: int) -> None:
     """Refuse a bool, a non-integer or an integer below `low`."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """Refuse a value that is not a finite real number >= 0."""
+    if not (isinstance(value, Real) and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass

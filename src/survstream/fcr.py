@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .bagio import case_columns, column_cases, read_npz
-from .data import CaseRecord, N_GENOMIC_GROUPS
+from .data import (CaseRecord, N_GENOMIC_GROUPS, require_int,
+                   require_nonnegative)
 from .survival import SurvLossConfig, nll_survival_loss
 
 
@@ -28,10 +29,9 @@ class CLLossConfig:
     replay_count: int = 1   # items sampled per training step
 
     def __post_init__(self):
-        if min(self.alpha, self.beta) < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.replay_count < 1:
-            raise ValueError("replay_count must be positive")
+        require_nonnegative("alpha", self.alpha)
+        require_nonnegative("beta", self.beta)
+        require_int("replay_count", self.replay_count, 1)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import TaskData, TaskStream, require_int
+from .data import TaskData, TaskStream, require_int, require_nonnegative
 from .fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
                   replay_terms, total_loss)
 from .model import ModelConfig, SurvivalModel
@@ -62,8 +62,8 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("rates must be nonnegative")
+        require_nonnegative("learning_rate", self.learning_rate)
+        require_nonnegative("weight_decay", self.weight_decay)
         for name, low in _INT_MINIMA.items():
             require_int(name, getattr(self, name), low)
         if self.k_top + 1 > self.n_experts:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import CaseRecord, N_BINS, N_GENOMIC_GROUPS, padded_groups
-from .moe import DuplicateTaskError, MoEModule, UnknownTaskError
+from .moe import DuplicateTaskError, MoEModule, UnknownTaskError, _put
 from .nn import Linear, MLP2
 
 # cases per stacked inference forward: bounds what one `predict` or
@@ -126,20 +126,17 @@ class SurvivalModel:
 
     def _pool_bags(self, bags, g: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         """The patch site's input and the patch summary that conditions the
-        genomic pooling, the only stage that runs once per bag size; the
-        rows go back in case order. With one bag size the tensors pass
-        through untouched."""
-        pooled = [(rows, self._pool_patches(p, g if len(bags) == 1
-                                            else ad.constant(g.data[rows])),
-                   ad.mean_rows(ad.relu(self.gen_psum(p))))        # (1, d)
-                  for rows, p in bags]
-        if len(pooled) == 1:
-            return pooled[0][1:]
-        x_p = np.empty(g.shape[:-2] + (1, self.cfg.latent))
-        summary = np.empty_like(x_p)
-        for rows, x, s in pooled:
-            x_p[rows], summary[rows] = x.data, s.data
-        return ad.constant(x_p), ad.constant(summary)
+        genomic pooling, the only stage that runs once per bag size; each
+        bag size's rows are put back in case order with the mixture's
+        `_put`, so with one bag size the tensors pass through untouched."""
+        n_rows = sum(len(rows) for rows, _ in bags)
+        x_p = summary = None
+        for rows, p in bags:
+            x_p = _put(x_p, rows, self._pool_patches(
+                p, g if len(bags) == 1 else ad.constant(g.data[rows])), n_rows)
+            summary = _put(summary, rows, ad.mean_rows(
+                ad.relu(self.gen_psum(p))), n_rows)                # (1, d)
+        return x_p, summary
 
     def _pool_genomics(self, g: ad.Tensor, summary: ad.Tensor) -> ad.Tensor:
         """Attention pooling of the six group embeddings, conditioned on the

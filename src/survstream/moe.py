@@ -6,7 +6,10 @@ top-k scoring remaining experts, masks the rest to -inf and softmax-normalises
 over the full pool, so non-selected experts get exactly zero weight. The gate
 selects for a whole stack of rows in one array operation, as a bool mask:
 `forward` gates once per stack, and `routing_stats` counts a batch with one
-`topk_s_select` call through the same router call `forward` makes.
+`topk_s_select` call through the same router call `forward` makes. Every row
+selects k_top + 1 experts, so `forward` sums a stack's mixture slot by slot:
+in slot k each expert runs once, on the rows whose k-th lowest selected
+expert it is, and the slot's rows are disjoint.
 
 Integration modes: "append" adds the mixture residually (y = x + MS(x));
 "replace" substitutes the mixture for an existing feed-forward layer
@@ -62,11 +65,11 @@ def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
     masked to -inf before the softmax, so their weights are exactly zero.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    chosen = _select(logits.reshape(-1, logits.shape[-1]), k_top,
+    n = logits.shape[-1]
+    chosen = _select(logits.reshape(-1, n), k_top,
                      shared_idx).reshape(logits.shape)
-    masked = np.where(chosen, logits, -np.inf)
-    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
-    return GatingResult(chosen, e / e.sum(axis=-1, keepdims=True))
+    masked = ad.constant(np.where(chosen, logits, -np.inf).reshape(-1, n))
+    return GatingResult(chosen, ad.softmax(masked).data.reshape(logits.shape))
 
 
 def _take(t: ad.Tensor, rows: list[int]) -> ad.Tensor:
@@ -121,10 +124,11 @@ class MoEModule:
         """Differentiable mixture output for one (1, d_in) input, or under
         `ad.no_grad` for a (B, 1, d_in) stack of them.
 
-        Each expert runs only on the rows that selected it. Each row adds its
-        own selected experts in ascending index order, starting from the
-        first, exactly as that row alone would. With one row every tensor
-        passes through untouched.
+        Every row selects k_top + 1 experts, so the mixture is summed slot by
+        slot: slot k holds each row's k-th lowest selected expert, each
+        expert runs once per slot on the rows that put it there, and each row
+        adds its terms in ascending expert order, exactly as that row alone
+        would. With one row every tensor passes through untouched.
         """
         if task_id not in self.routers:
             raise UnknownTaskError(task_id)
@@ -134,26 +138,17 @@ class MoEModule:
                          self.shared_idx)
         mask = ad.constant(np.where(chosen, 0.0, -np.inf).reshape(logits.shape))
         weights = ad.softmax(ad.add(logits, mask))
-        # each expert's rows, ascending: expert 0's first, then expert 1's...
-        rows_all = np.nonzero(chosen.T)[1].tolist()
-        started = [False] * len(chosen)  # rows whose mixture has a term
         mix = None
-        end = 0
-        for i, count in enumerate(chosen.sum(axis=0).tolist()):
-            if not count:
-                continue
-            rows = rows_all[end:end + count]
-            end += count
-            term = ad.mul(ad.col(_take(weights, rows), i),
-                          self.experts[i](_take(x, rows)))
-            later = [k for k, r in enumerate(rows) if started[r]]
-            if later:
-                term = _put(term, later, ad.add(
-                    _take(mix, [rows[k] for k in later]), _take(term, later)),
-                    len(rows))
-            mix = _put(mix, rows, term, len(started))
-            for r in rows:
-                started[r] = True
+        for slot in np.nonzero(chosen)[1].reshape(len(chosen), -1).T.tolist():
+            groups: dict[int, list[int]] = {}
+            for r, i in enumerate(slot):
+                groups.setdefault(i, []).append(r)
+            term = None
+            for i, rows in groups.items():
+                term = _put(term, rows, ad.mul(
+                    ad.col(_take(weights, rows), i),
+                    self.experts[i](_take(x, rows))), len(slot))
+            mix = term if mix is None else ad.add(mix, term)
         if self.mode == "append":
             return ad.add(x, mix)
         return mix

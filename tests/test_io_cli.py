@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -657,7 +658,14 @@ class TestConfigValues:
            "method not a list": {"methods": "fcr"},
            "negative epochs": {"epochs": -1},
            "negative alpha": {"alpha": -1},
+           "alpha NaN": {"alpha": math.nan},
+           "beta infinite": {"beta": math.inf},
+           "learning_rate infinite": {"learning_rate": math.inf},
+           "weight_decay NaN": {"weight_decay": math.nan},
            "zero replay_count": {"replay_count": 0},
+           "replay_count a float": {"replay_count": 1.5},
+           "repeated method": {"methods": ["finetune", "finetune"]},
+           "repeated seed": {"seeds": [0, 0]},
            "epochs not a number": {"epochs": "many"},
            "attn_dim is not a parameter": {"attn_dim": 4},
            "k_top + 1 above n_experts": {"k_top": 4, "n_experts": 4},
@@ -769,6 +777,21 @@ class TestCLI:
         blob = (tmp_path / "s" / "task_0.npz").read_bytes()
         (tmp_path / "s" / "task_0.npz").write_bytes(blob[:10])
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("time", math.nan), ("time", math.inf), ("time", -1.0), ("time", 0.0),
+        ("censored", 2)])
+    def test_ingest_check_names_a_case_with_a_bad_outcome(
+            self, tmp_path, stream, capsys, field, value):
+        save_stream(stream, tmp_path / "s")
+        path = tmp_path / "s" / "task_0.npz"
+        cases = read_task_file(path)
+        setattr(cases[1], field, value)
+        write_task_file(path, cases)
+        assert main(["ingest-check", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unreadable task file" in err
+        assert f"case {cases[1].case_id!r}: time" in err
 
     def test_km_and_routing_verbs(self, tmp_path, stream):
         path = write_config(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -246,3 +247,75 @@ def test_selection_frequency_uniform_logit_inputs():
     assert (stats[:7] > 0.01).all() and (stats[:7] < 0.9).all()
     assert abs(stats[:7].mean() - p) < 1e-12  # exactly 2 of 7 per call
     assert sigma > 0.0
+
+
+def _perturbed(module, rng):
+    """Every parameter moved off its seeded value, so that append-mode
+    experts contribute too."""
+    for p in module.parameters("moe").values():
+        p.data = p.data + rng.normal(scale=0.5, size=p.data.shape)
+    return module
+
+
+@st.composite
+def moe_stacks(draw):
+    """A perturbed module of either mode, n_experts 2-8 and any k_top, and a
+    (B, 1, d) stack of repeated rows. Some router columns may copy another,
+    so a row's logits tie; repeated rows make groups that cover every row."""
+    n = draw(st.integers(2, 8))
+    mode = draw(st.sampled_from(["append", "replace"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = MoEModule(5, 5 if mode == "append" else 3, n, draw(st.integers(0, n - 1)),
+                  mode, 4, rng)
+    m.add_task_router(0, rng)
+    _perturbed(m, rng)
+    router = m.routers[0]
+    ties = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    router.w.data[:, ties] = router.w.data[:, :1]
+    router.b.data[:, ties] = router.b.data[:, :1]
+    distinct = rng.normal(size=(draw(st.integers(1, 40)), 1, 5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1),
+                          min_size=1, max_size=40))
+    return m, distinct[picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(moe_stacks())
+def test_a_stack_mixes_each_row_as_that_row_alone(drawn):
+    m, x = drawn
+    with ad.no_grad():
+        stacked = m.forward(ad.constant(x), 0)
+        own = [m.forward(ad.constant(row), 0) for row in x]
+    assert stacked.shape == (len(x), 1, m.d_out)
+    assert stacked.data.tobytes() == np.stack([o.data for o in own]).tobytes()
+
+
+def _op(node) -> str:
+    """The primitive that made a taped node."""
+    return node._backward.__qualname__.split(".")[0]
+
+
+@pytest.mark.parametrize("mode", ["append", "replace"])
+@pytest.mark.parametrize("k_top", [0, 1, 3])
+def test_one_row_tapes_exactly_the_mixture_nodes(mode, k_top):
+    rng = np.random.default_rng(11)
+    m = MoEModule(6, 6 if mode == "append" else 3, 4, k_top, mode, 5, rng)
+    m.add_task_router(0, rng)
+    _perturbed(m, rng)
+    x = ad.constant(rng.normal(size=(1, 6)))
+    out = m.forward(x, 0)
+    k = k_top + 1
+    assert Counter(_op(node) for node in ad._topo(out) if node._parents) == {
+        "linear": 1 + 2 * k, "add": 1 + k_top + (mode == "append"),
+        "softmax": 1, "col": k, "mul": k, "relu": k}
+    # mix = ((term_0 + term_1) + term_2)..., terms in ascending expert order
+    mix = out._parents[1] if mode == "append" else out
+    terms = []
+    while _op(mix) == "add":
+        mix, term = mix._parents
+        terms.append(term)
+    terms = [mix] + terms[::-1]
+    assert [_op(t) for t in terms] == ["mul"] * k
+    selected = np.flatnonzero(routed(m, x.data).selected).tolist()
+    assert [t._parents[1].data.tobytes() for t in terms] == [
+        m.experts[i](x).data.tobytes() for i in selected]
