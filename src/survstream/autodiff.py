@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -381,13 +381,9 @@ def _topo(loss: Tensor) -> list[Tensor]:
     return order + leaves
 
 
-def backward(loss: Tensor, params: Mapping[str, Tensor] | None = None
-             ) -> dict[str, np.ndarray] | None:
-    """Reverse-mode sweep from a scalar loss.
-
-    Accumulates .grad on every reachable tensor that requires one. When `params` is given, returns a name -> gradient map with zeros
-    for parameters the loss does not reach.
-    """
+def backward(loss: Tensor) -> None:
+    """Reverse-mode sweep from a scalar loss: accumulates .grad on every
+    reachable tensor that requires one."""
     if not _recording:
         raise NoGradError("backward inside no_grad: the forward recorded no tape")
     if loss.data.size != 1:
@@ -399,37 +395,3 @@ def backward(loss: Tensor, params: Mapping[str, Tensor] | None = None
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    if params is None:
-        return None
-    return {name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape))
-            for name, p in params.items()}
-
-
-def finite_diff_check(loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor],
-                      eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `loss_fn` rebuilds the graph from the current parameter values on each
-    call. Error is |analytic - fd| / max(1, |analytic|), maximised over every
-    entry of every parameter. The probes run under `no_grad`.
-    """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    analytic = backward(loss_fn(), params)
-    worst = 0.0
-    with no_grad():
-        for name, p in params.items():
-            flat = p.data.reshape(-1)
-            g = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = loss_fn().item()
-                flat[i] = orig - eps
-                lo = loss_fn().item()
-                flat[i] = orig
-                fd = (hi - lo) / (2.0 * eps)
-                err = abs(g[i] - fd) / max(1.0, abs(g[i]))
-                if err > worst:
-                    worst = err
-    return worst

@@ -1,11 +1,13 @@
-"""Task files and task-stream (de)serialization.
+"""Task files, task streams and the one `.npz` writer.
 
-A stream directory holds `manifest.json` (version 2, the task order) and one
-uncompressed `.npz` task file per task. `case_columns` lays out its cases as
-it does a replay buffer's: `case_id`, `time`, `censored`, `n_patches` and the
-stacked patch bags in `patches` (f32 here); a task file adds one row of
-genomic groups per case in `groups` (f32) and their `group_widths`. Every
-.npz is read through `read_npz`, so any damage raises `CorruptFileError`.
+A stream directory holds `manifest.json` (version 3, the task order) and one
+uncompressed `.npz` task file per task. Task files and replay buffers share
+one case layout, `case_columns`: `case_id`, `time`, `censored`, `n_patches`,
+the stacked patch bags in `patches`, every genomic group back to back in the
+1-D `groups` and each case's six group widths in the (n, 6) `group_widths`
+(f32 in a task file, f64 in a buffer). Every archive is written by
+`write_npz` and read through `read_npz`, so any damage, a bad outcome or a
+non-finite feature value raises `CorruptFileError`.
 
 Features are upcast to 64-bit on ingest; bin grids and labels are recomputed
 from the ingested times, so serialising and re-ingesting a stream is lossless.
@@ -23,9 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CaseRecord, N_BINS, TaskData, TaskStream, build_task
+from .data import (CaseRecord, N_BINS, N_GENOMIC_GROUPS, TaskData,
+                   TaskStream, build_task)
 
-_VERSION = 2  # the manifest's "version"; other versions are refused
+_VERSION = 3  # the manifest's "version"; other versions are refused
 
 
 class CorruptFileError(ValueError):
@@ -40,6 +43,12 @@ UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, OSError, LookupError,
               TypeError, ValueError, RuntimeError)
 
 
+def write_npz(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write `arrays` as an uncompressed `.npz` archive at exactly `path`."""
+    with open(path, "wb") as fh:  # a handle: numpy appends no suffix
+        np.savez(fh, **arrays)
+
+
 def read_npz(path, what: str, read):
     """`read(arrays)` on the .npz file at `path`, where `arrays` maps each
     member's name (without `.npy`) to its array; any damage raises
@@ -47,7 +56,7 @@ def read_npz(path, what: str, read):
     opened before reading starts."""
     with open(path, "rb") as fh:
         try:
-            # np.savez writes no zip comment: an intact archive ends with its
+            # write_npz writes no zip comment: an intact archive ends with its
             # end-of-central-directory record (a shorter file fails the seek)
             fh.seek(-22, 2)
             if fh.read(4) != b"PK\x05\x06":
@@ -116,7 +125,7 @@ class DimensionMismatchError(ValueError):
 
 def case_columns(cases: list[CaseRecord], dtype) -> dict[str, np.ndarray]:
     """The members that lay out `cases` in a task file or a replay buffer,
-    every patch bag stacked in `patches` as `dtype`; groups are the caller's."""
+    patch bags and genomic groups as `dtype`."""
     return {
         "case_id": np.array([c.case_id for c in cases], dtype=str),
         "time": np.array([c.time for c in cases], dtype=np.float64),
@@ -124,17 +133,22 @@ def case_columns(cases: list[CaseRecord], dtype) -> dict[str, np.ndarray]:
         "n_patches": np.array([c.patches.shape[0] for c in cases], dtype=np.int64),
         "patches": np.concatenate([c.patches for c in cases] or [np.empty((0, 0))],
                                   dtype=dtype),
+        "groups": np.concatenate([np.empty(0)] + [g for c in cases for g in c.groups],
+                                 dtype=dtype),
+        "group_widths": np.array([[g.size for g in c.groups] for c in cases],
+                                 dtype=np.int64).reshape(-1, N_GENOMIC_GROUPS),
     }
 
 
-def column_cases(z, groups: np.ndarray, widths: np.ndarray) -> list[CaseRecord]:
+def column_cases(z) -> list[CaseRecord]:
     """The cases of `case_columns` members in `z`, in float64; case i's groups
-    are the next `widths[i]` values of the 1-D `groups`, `widths` being (n, 6).
-    A time that is not finite and positive or a censor flag other than 0/1
-    raises `ValueError` naming the case."""
+    are the next `group_widths[i]` values of `groups`. A time that is not
+    finite and positive, a censor flag other than 0/1 or a patch or genomic
+    value that is not finite raises `ValueError` naming the case."""
     ids, times = z["case_id"].tolist(), z["time"].tolist()
     censored, counts = z["censored"].tolist(), z["n_patches"].tolist()
     patches = z["patches"].astype(np.float64, copy=False)
+    groups, widths = z["groups"].astype(np.float64, copy=False), z["group_widths"]
     if not len(ids) == len(times) == len(censored) == len(counts) == len(widths):
         raise ValueError("per-case members differ in length")
     bad = np.flatnonzero(~np.isfinite(z["time"]) | (z["time"] <= 0)
@@ -146,8 +160,13 @@ def column_cases(z, groups: np.ndarray, widths: np.ndarray) -> list[CaseRecord]:
                          f"censored is 0 or 1)")
     if min(counts, default=1) < 1 or sum(counts) != patches.shape[0]:
         raise ValueError("n_patches do not cover the patch rows")
-    if (widths < 0).any() or widths.sum() != groups.size:
+    if groups.ndim != 1 or (widths < 0).any() or widths.sum() != groups.size:
         raise ValueError("group widths do not cover the groups")
+    for what, finite, sizes in (("patch", np.isfinite(patches).all(axis=1), counts),
+                                ("genomic", np.isfinite(groups), widths.sum(axis=1))):
+        if not finite.all():  # the case whose rows or values hold the first
+            i = int(np.searchsorted(np.cumsum(sizes), np.argmin(finite), "right"))
+            raise ValueError(f"case {ids[i]!r}: a {what} value is not finite")
     rows, ends = np.cumsum([0] + counts).tolist(), np.cumsum(widths).tolist()
     cuts, k = [groups[a:b] for a, b in zip([0] + ends, ends)], widths.shape[1]
     return [CaseRecord(cid, patches[rows[i]:rows[i + 1]],
@@ -157,24 +176,12 @@ def column_cases(z, groups: np.ndarray, widths: np.ndarray) -> list[CaseRecord]:
 
 def write_task_file(path, cases: list[CaseRecord]) -> None:
     """Write `cases` as an uncompressed `.npz` task file at exactly `path`."""
-    widths = [g.size for g in cases[0].groups]
-    for c in cases:
-        if [g.size for g in c.groups] != widths:
-            raise DimensionMismatchError(
-                f"{path}: case {c.case_id} group widths differ")
-    arrays = case_columns(cases, "<f4")
-    arrays["groups"] = np.array([np.concatenate(c.groups) for c in cases],
-                                dtype="<f4")
-    arrays["group_widths"] = np.array(widths, dtype=np.int64)
-    with open(path, "wb") as fh:  # a handle: numpy appends no suffix
-        np.savez(fh, **arrays)
+    write_npz(path, case_columns(cases, "<f4"))
 
 
 def read_task_file(path) -> list[CaseRecord]:
     """Read a `write_task_file` file; any damage raises `CorruptFileError`."""
-    return read_npz(path, "task file", lambda z: column_cases(
-        z, z["groups"].astype(np.float64).ravel(),
-        np.tile(z["group_widths"], (len(z["groups"]), 1))))
+    return read_npz(path, "task file", column_cases)
 
 
 def save_stream(stream: TaskStream, directory) -> None:
@@ -204,7 +211,7 @@ def _manifest_entries(directory: Path) -> list[tuple[int, Path]]:
     if version != _VERSION:
         raise CorruptFileError(
             f"{manifest_path}: manifest version {version!r}, expected "
-            f"{_VERSION} (task files are .npz archives)")
+            f"{_VERSION} (task files with per-case group widths)")
     if not entries:
         raise CorruptFileError(f"{manifest_path}: lists no tasks")
     seen = set()
@@ -232,7 +239,7 @@ def _read_listed(fpath: Path) -> list[CaseRecord]:
 def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
     """Load a stream directory; recompute bin grids from ingested times.
 
-    Genomic groups are zero-padded to the maximum width across all tasks.
+    Genomic groups are zero-padded to the widest group of any case.
     """
     tasks = []
     d_patch = None
@@ -245,7 +252,7 @@ def ingest_stream(directory, n_bins: int = N_BINS) -> TaskStream:
             raise DimensionMismatchError(
                 f"{fpath}: patch width {dp} differs from {d_patch}")
         tasks.append(build_task(task_id, cases, n_bins))
-    width = max(g.size for t in tasks for g in t.cases[0].groups)
+    width = max(g.size for t in tasks for c in t.cases for g in c.groups)
     return TaskStream(tasks, d_patch, width)
 
 
@@ -261,23 +268,3 @@ def ingest_task(directory, task_id: int, n_bins: int = N_BINS) -> TaskData:
     raise CorruptFileError(
         f"{directory / 'manifest.json'}: task {task_id} is not listed")
 
-
-def streams_equal(a: TaskStream, b: TaskStream) -> bool:
-    """Bit-level equality of features, outcomes, labels and bin grids."""
-    if a.n_tasks != b.n_tasks or a.d_patch != b.d_patch:
-        return False
-    for ta, tb in zip(a.tasks, b.tasks):
-        if ta.task_id != tb.task_id or ta.bins != tb.bins or len(ta) != len(tb):
-            return False
-        for ca, cb in zip(ta.cases, tb.cases):
-            if (ca.case_id != cb.case_id or ca.time != cb.time
-                    or ca.censored != cb.censored or ca.label != cb.label):
-                return False
-            if not np.array_equal(ca.patches, cb.patches):
-                return False
-            if len(ca.groups) != len(cb.groups):
-                return False
-            if any(not np.array_equal(ga, gb)
-                   for ga, gb in zip(ca.groups, cb.groups)):
-                return False
-    return True

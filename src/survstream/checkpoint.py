@@ -1,4 +1,5 @@
-"""Model checkpoints: one .npz holding every parameter plus a config record.
+"""Model checkpoints: one .npz holding every parameter plus a config record,
+written by `bagio.write_npz` at exactly the path it is given.
 
 Loading builds the model's structure from the config record without drawing
 random weights, then `set_state` writes every parameter from the archive.
@@ -14,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bagio import read_npz
+from .bagio import read_npz, write_npz
 from .model import ModelConfig, SurvivalModel
 
 
@@ -27,7 +28,7 @@ def save_model(model: SurvivalModel, path) -> None:
     meta = {"config": asdict(model.cfg), "task_ids": model.task_ids}
     arrays = {f"param/{k}": v for k, v in model.get_state().items()}
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    write_npz(path, arrays)
 
 
 def load_model(path) -> SurvivalModel:

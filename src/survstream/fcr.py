@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bagio import case_columns, column_cases, read_npz
-from .data import (CaseRecord, N_GENOMIC_GROUPS, require_int,
-                   require_nonnegative)
+from .bagio import case_columns, column_cases, read_npz, write_npz
+from .data import CaseRecord, require_int, require_nonnegative
 from .survival import SurvLossConfig, nll_survival_loss
 
 
@@ -84,23 +83,18 @@ class ReplayBuffer:
 
     def save(self, path) -> None:
         """Write an uncompressed `.npz` archive at exactly `path`: the cases
-        in `bagio.case_columns` (f64 patches), their genomic groups back to
-        back with an (n, 6) width table, and per item its label, task id,
-        frozen features and, where `has_logits` says so, logits."""
+        in `bagio.case_columns` (f64 features), and per item its label, task
+        id, frozen features and, where `has_logits` says so, logits."""
         items, cases = self.items, [it.case for it in self.items]
         arrays = case_columns(cases, np.float64)
         arrays.update(
             label=np.array([c.label for c in cases], dtype=np.int64),
             task_id=np.array([it.task_id for it in items], dtype=np.int64),
-            groups=np.concatenate([np.empty(0)] + [g for c in cases for g in c.groups]),
-            group_widths=np.array([[g.size for g in c.groups] for c in cases],
-                                  dtype=np.int64).reshape(-1, N_GENOMIC_GROUPS),
             has_logits=np.array([it.logits is not None for it in items], dtype=bool),
             logits=np.array([it.logits for it in items if it.logits is not None]),
             capacity=np.int64(self.capacity), seen_count=np.int64(self.seen_count),
             **{f: np.array([getattr(it, f) for it in items]) for f in _FEATURES})
-        with open(path, "wb") as fh:  # a handle: numpy appends no suffix
-            np.savez(fh, **arrays)
+        write_npz(path, arrays)
 
     @classmethod
     def load(cls, path) -> "ReplayBuffer":
@@ -111,7 +105,7 @@ class ReplayBuffer:
     def _read(cls, z) -> "ReplayBuffer":
         buf = cls(int(z["capacity"]))
         buf.seen_count = int(z["seen_count"])
-        cases = column_cases(z, z["groups"], z["group_widths"])
+        cases = column_cases(z)
         columns = [z[k] for k in ("label", "task_id", "has_logits", *_FEATURES)]
         if (any(len(c) != len(cases) for c in columns)
                 or sum(z["has_logits"]) != len(z["logits"])):
@@ -160,11 +154,6 @@ def _sq_dist(frozen: np.ndarray, current: ad.Tensor) -> ad.Tensor:
 
 def _mean(total: ad.Tensor | None, n: int) -> ad.Tensor:
     return ad.constant(0.0) if total is None else ad.scale(total, 1.0 / n)
-
-
-def feature_constraint_loss(model, items: list[ReplayItem]) -> ad.Tensor:
-    """Mean squared drift of the three feature maps from their frozen values."""
-    return replay_terms(model, items, CLLossConfig(alpha=1.0, beta=0.0))[0]
 
 
 def replay_loss(model, items: list[ReplayItem],

@@ -13,15 +13,17 @@ import pytest
 
 from survstream import autodiff as ad
 from survstream import survival as sv
-from survstream.bagio import ingest_stream, save_stream, streams_equal
-from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
-                            feature_constraint_loss, replay_loss, total_loss)
+from survstream.bagio import ingest_stream, save_stream
+from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
+                            total_loss)
 from survstream.harness import (MethodConfig, average_performance, forgetting,
                                 run_sequence)
 from survstream.model import ModelConfig, SurvivalModel
 from survstream.moe import MoEModule, topk_s_select
 from survstream.reports import emit_km_csv
 from survstream.synthdata import GeneratorConfig, generate_stream
+from tests.helpers import (feature_constraint_loss, finite_diff_check,
+                           streams_equal)
 
 RESULTS: list[tuple[int, bool, str]] = []
 
@@ -82,7 +84,7 @@ def test_criterion_1_gradient_fidelity():
         return total_loss(current, feature_constraint_loss(model, items),
                           replay_loss(model, items), cfg)
 
-    rel_err = ad.finite_diff_check(loss_fn, params, eps=1e-5)
+    rel_err = finite_diff_check(loss_fn, params, eps=1e-5)
     elapsed = time.perf_counter() - t0
     _report(1, rel_err < 1e-4 and elapsed < 30.0,
             f"relative error {rel_err:.3g} over {len(params)} tensors, "

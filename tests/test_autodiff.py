@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survstream import autodiff as ad
+from tests.helpers import finite_diff_check, gradients
 
 
 def naive_matmul(x, w):
@@ -118,14 +119,14 @@ class TestBackward:
         w = ad.Tensor(np.random.default_rng(1).normal(size=(3, 2)),
                       requires_grad=True)
         loss = ad.sum_all(ad.matmul(ad.constant(x), w))
-        grads = ad.backward(loss, {"w": w})
+        grads = gradients(loss, {"w": w})
         assert np.allclose(grads["w"], np.repeat(x.T, 2, axis=1), atol=1e-14)
 
     def test_disconnected_parameter_zero_grad(self):
         p = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         q = ad.Tensor(np.ones((2, 2)), requires_grad=True)
         loss = ad.sum_all(ad.square(p))
-        grads = ad.backward(loss, {"p": p, "q": q})
+        grads = gradients(loss, {"p": p, "q": q})
         assert np.array_equal(grads["q"], np.zeros((2, 2)))
 
     def test_non_scalar_loss_rejected(self):
@@ -148,25 +149,25 @@ class TestBackward:
             y = ad.sigmoid(ad.linear(h, params["w2"], params["b2"]))
             return ad.sum_all(ad.square(y))
 
-        assert ad.finite_diff_check(loss_fn, params, eps=1e-5) < 1e-6
+        assert finite_diff_check(loss_fn, params, eps=1e-5) < 1e-6
 
 
 class TestFiniteDiffCheck:
     def test_quadratic(self):
         w = ad.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-        err = ad.finite_diff_check(lambda: ad.sum_all(ad.square(w)), {"w": w},
-                                   eps=1e-5)
+        err = finite_diff_check(lambda: ad.sum_all(ad.square(w)), {"w": w},
+                                eps=1e-5)
         assert err < 1e-8
 
     def test_constant_loss(self):
         w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-        err = ad.finite_diff_check(lambda: ad.constant(5.0), {"w": w}, eps=1e-5)
+        err = finite_diff_check(lambda: ad.constant(5.0), {"w": w}, eps=1e-5)
         assert err == 0.0
 
     def test_eps_must_be_positive(self):
         w = ad.Tensor(np.ones((1, 1)), requires_grad=True)
         with pytest.raises(ad.DomainError):
-            ad.finite_diff_check(lambda: ad.sum_all(w), {"w": w}, eps=0.0)
+            finite_diff_check(lambda: ad.sum_all(w), {"w": w}, eps=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,7 +185,7 @@ def test_primitive_gradients_match_finite_differences(seed):
         u = ad.softmax(ad.concat_cols(t, ad.relu(y)))
         return ad.mean_all(ad.square(u))
 
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
 
 
 def test_forward_deterministic():
@@ -210,7 +211,7 @@ def test_structured_ops_gradients():
         s = ad.transpose(ad.col(pooled, 1))
         return ad.sum_all(ad.mul(ad.square(pooled), ad.tile_rows(ad.transpose(s), 1)))
 
-    assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
+    assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
 
 
 
@@ -291,13 +292,13 @@ class TestNoGrad:
         loss = ad.sum_all(ad.square(self.forward()))  # recorded outside
         with ad.no_grad():
             with pytest.raises(ad.NoGradError, match="no_grad"):
-                ad.backward(loss, {"w": self.w})
+                ad.backward(loss)
         assert self.w.grad is None
         assert issubclass(ad.NoGradError, ValueError)
 
     def test_finite_diff_probes_leave_recording_on(self):
         params = {"w": self.w, "b": self.b}
-        err = ad.finite_diff_check(
+        err = finite_diff_check(
             lambda: ad.sum_all(ad.square(self.forward())), params, eps=1e-6)
         assert err < 1e-6
         assert self.forward().requires_grad

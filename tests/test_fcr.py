@@ -1,3 +1,4 @@
+import math
 import zipfile
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from survstream import autodiff as ad
 from survstream.bagio import CorruptFileError
-from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
-                            feature_constraint_loss, replay_loss, total_loss)
+from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
+                            total_loss)
 from survstream.model import SurvivalModel
+from tests.helpers import feature_constraint_loss, finite_diff_check, spoil
 from tests.test_backbone import TINY, make_case
 
 
@@ -252,6 +254,20 @@ class TestBufferSerialization:
         back = ReplayBuffer.load(tmp_path / "buf.npz")
         assert _buffer_fields(back) == _buffer_fields(buf)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("member, what", [("patches", "patch"),
+                                              ("groups", "genomic")])
+    def test_a_non_finite_feature_names_its_case(self, tmp_path, member, what,
+                                                 value):
+        buf, path = _saved_buffer(tmp_path, n_items=3)
+        spoil(buf.items[1].case, member, value)
+        buf.save(path)
+        with pytest.raises(CorruptFileError) as caught:
+            ReplayBuffer.load(path)
+        assert str(caught.value) == (
+            f"{path}: unreadable replay buffer (ValueError: case 'case_1': "
+            f"a {what} value is not finite)")
+
     def test_an_old_layout_buffer_is_a_corrupt_file(self, tmp_path):
         # one member per item array under `i/<name>`
         buf, _ = _saved_buffer(tmp_path)
@@ -364,4 +380,4 @@ class TestLosses:
         def loss_fn():
             return feature_constraint_loss(model, [item])
 
-        assert ad.finite_diff_check(loss_fn, params, eps=1e-6) < 1e-5
+        assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-5

@@ -6,8 +6,8 @@ import pytest
 from survstream import autodiff as ad
 from survstream import harness
 from survstream.estimator import ContinualSurvivalEstimator, _flatten
-from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem,
-                            feature_constraint_loss, replay_loss, total_loss)
+from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
+                            total_loss)
 from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
                                 _step_loss, average_on_trained,
                                 average_performance, build_model, bwt,
@@ -18,6 +18,7 @@ from survstream.moe import MoEModule
 from survstream.survival import (SurvLossConfig, UndefinedMetricError,
                                  nll_survival_loss)
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
+from tests.helpers import feature_constraint_loss
 
 TINY_KW = dict(latent=8, hidden=10, attn_dim=4, n_experts=4, k_top=1)
 GEN = GeneratorConfig(n_tasks=2, cases_per_task=60, n_patches=(3, 6),

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import survstream
 from survstream.bagio import (CorruptFileError, DimensionMismatchError,
                               ingest_stream, ingest_task, read_npz,
-                              read_task_file, save_stream, streams_equal,
-                              write_task_file)
+                              read_task_file, save_stream, write_task_file)
 from survstream.checkpoint import CheckpointMismatchError, load_model, save_model
 from survstream.cli import (_RUN_KEYS, ConfigError, _scoring_inputs,
                             build_parser, load_config, main, run_experiment)
@@ -27,6 +26,7 @@ from survstream.fcr import ReplayBuffer
 from survstream.harness import MethodConfig, build_model
 from survstream.model import SurvivalModel
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
+from tests.helpers import spoil, streams_equal
 
 GEN = GeneratorConfig(n_tasks=2, cases_per_task=60, n_patches=(3, 6),
                       d_patch=8, group_dims=(5, 4, 3, 6, 2, 4), seed=0)
@@ -98,14 +98,20 @@ class TestBagIO:
         with pytest.raises(DimensionMismatchError):
             ingest_stream(tmp_path / "s")
 
-    def test_inconsistent_group_widths_rejected(self, stream, tmp_path):
-        cases = [stream.tasks[0].cases[0], stream.tasks[1].cases[0]]
-        bad = type(cases[1])(
-            case_id="bad", patches=cases[1].patches,
-            groups=tuple(g[:2] for g in cases[1].groups),
-            time=1.0, censored=0)
-        with pytest.raises(DimensionMismatchError):
-            write_task_file(tmp_path / "bad.npz", [cases[0], bad])
+    def test_mixed_group_widths_round_trip(self, stream, tmp_path):
+        # each case keeps its own group widths, and the stream pads to the
+        # widest group of any case: here one that is no task's first case
+        first, second, *rest = stream.tasks[1].cases
+        wide = replace(second, case_id="wide", groups=(
+            *second.groups[:2], np.arange(9.0), *second.groups[3:]))
+        narrow = replace(first, groups=tuple(g[:1] for g in first.groups))
+        cases = [narrow, wide, *rest]
+        write_task_file(tmp_path / "t.npz", cases)
+        assert _case_fields(read_task_file(tmp_path / "t.npz")) == \
+            _case_fields(cases)
+        tasks = [stream.tasks[0], replace(stream.tasks[1], cases=cases)]
+        save_stream(TaskStream(tasks, stream.d_patch, 9), tmp_path / "s")
+        assert ingest_stream(tmp_path / "s").genomic_width == 9
 
 
 def _case_fields(cases):
@@ -246,6 +252,24 @@ class TestTaskFileDamage:
         with pytest.raises(CorruptFileError, match="1 bytes short"):
             read_npz(path, "archive", lambda z: z["b"])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("member, what", [("patches", "patch"),
+                                              ("groups", "genomic")])
+    def test_a_non_finite_feature_names_its_case(self, stream, tmp_path,
+                                                 capsys, member, what, value):
+        save_stream(stream, tmp_path / "s")
+        path = tmp_path / "s" / "task_0.npz"
+        cases = read_task_file(path)
+        spoil(cases[1], member, value)
+        write_task_file(path, cases)
+        message = f"case {cases[1].case_id!r}: a {what} value is not finite"
+        with pytest.raises(CorruptFileError) as caught:
+            read_task_file(path)
+        assert f"{path}: unreadable task file (ValueError: {message})" == \
+            str(caught.value)
+        assert main(["ingest-check", str(tmp_path / "s")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_group_widths_must_sum_to_the_columns(self, stream, tmp_path):
         path = _saved_task_file(tmp_path, stream)
         with np.load(path) as z:
@@ -294,11 +318,11 @@ class TestManifest:
                      str(tmp_path / "km.csv")]) == 2
         assert capsys.readouterr().err.startswith("data error:")
 
-    def test_stream_files_are_npz_with_manifest_version_2(self, stream,
+    def test_stream_files_are_npz_with_manifest_version_3(self, stream,
                                                           tmp_path):
         save_stream(stream, tmp_path / "s")
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
-        assert manifest == {"version": 2, "tasks": [
+        assert manifest == {"version": 3, "tasks": [
             {"task_id": 0, "file": "task_0.npz"},
             {"task_id": 1, "file": "task_1.npz"}]}
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
@@ -319,15 +343,19 @@ class TestManifest:
         out = capsys.readouterr()
         assert out.out == "" and "task_id 0 is listed more than once" in out.err
 
-    def test_an_old_svb_stream_names_its_version(self, tmp_path, capsys):
-        (tmp_path / "s").mkdir()
-        (tmp_path / "s" / "task_0.svb").write_bytes(b"SVBG\x01" + b"\x00" * 20)
-        (tmp_path / "s" / "manifest.json").write_text(json.dumps(
-            {"version": 1, "tasks": [{"task_id": 0, "file": "task_0.svb"}]}))
-        with pytest.raises(CorruptFileError, match="manifest version 1"):
-            ingest_stream(tmp_path / "s")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_old_stream_names_its_version(self, stream, tmp_path, capsys,
+                                             version):
+        # version 1 listed .svb files; version 2 task files held one row of
+        # groups per case and a single width list
+        save_stream(stream, tmp_path / "s")
+        _edit_manifest(tmp_path / "s", lambda m: {**m, "version": version})
+        for read in (ingest_stream, lambda d: ingest_task(d, 0)):
+            with pytest.raises(CorruptFileError,
+                               match=f"manifest version {version}"):
+                read(tmp_path / "s")
         assert main(["ingest-check", str(tmp_path / "s")]) == 2
-        assert "manifest version 1" in capsys.readouterr().err
+        assert f"manifest version {version}" in capsys.readouterr().err
 
 
 class TestSingleTaskRead:
@@ -465,6 +493,16 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "absent.npz")
+
+    def test_a_path_without_a_suffix_round_trips(self, stream, tmp_path):
+        model = build_model(stream, MethodConfig(seed=6, **TINY_KW))
+        save_model(model, tmp_path / "ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+        assert _state_bytes(load_model(tmp_path / "ckpt")) == _state_bytes(model)
+        save_stream(stream, tmp_path / "s")
+        assert main(["km", str(tmp_path / "ckpt"), str(tmp_path / "s"), "0",
+                     str(tmp_path / "km.csv")]) == 0
+        assert (tmp_path / "km.csv").stat().st_size > 0
 
     @pytest.mark.parametrize("keep", [0.0, 1e-4, 0.01, 0.25, 0.5, 0.9, 0.999])
     def test_truncation_is_a_corrupt_file(self, saved, keep):
@@ -831,8 +869,9 @@ class TestCLI:
                     tmp_path / "s")
         assert main(["run", str(write_config(tmp_path, tmp_path / "s"))]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: finetune: task 0, epoch 0, case "
-                              f"{bad.case_id!r}: loss is nan")
+        assert err.startswith(f"data error: {tmp_path / 's' / 'task_0.npz'}: "
+                              "unreadable task file (ValueError: case "
+                              f"{bad.case_id!r}: a patch value is not finite)")
 
     def test_km_missing_task_exit_code(self, tmp_path):
         path = write_config(tmp_path)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from survstream import autodiff as ad
 from survstream import survival as sv
 from survstream.data import N_GENOMIC_GROUPS, CaseRecord, build_task
+from tests.helpers import finite_diff_check
 
 
 class TestBins:
@@ -128,7 +129,7 @@ class TestNLL:
         def loss_fn():
             return sv.nll_survival_loss(ad.sigmoid(logits), 2, 0)
 
-        err = ad.finite_diff_check(loss_fn, {"z": logits}, eps=1e-6)
+        err = finite_diff_check(loss_fn, {"z": logits}, eps=1e-6)
         assert err < 1e-7
 
 
