@@ -2,22 +2,22 @@
 
 from .data import CaseRecord, TaskData, TaskStream
 from .estimator import ContinualSurvivalEstimator
-from .fcr import CLLossConfig, ReplayBuffer, ReplayItem
+from .fcr import ReplayBuffer, ReplayItem
 from .harness import (MethodConfig, PerformanceMatrix, average_performance,
                       bwt, forgetting, fwt, run_sequence)
 from .model import ModelConfig, SurvivalModel
 from .moe import GatingResult, MoEModule, topk_s_select
-from .survival import (BinSpec, SurvLossConfig, assign_bin, c_index,
-                       c_index_ipcw, chi2_sf, compute_bins,
-                       hazards_to_survival, km_estimator, log_rank_test,
-                       nll_survival_loss, risk_score, risk_scores)
+from .survival import (BinSpec, assign_bin, c_index, c_index_ipcw, chi2_sf,
+                       compute_bins, hazards_to_survival, km_estimator,
+                       log_rank_test, nll_survival_loss, risk_score,
+                       risk_scores)
 from .synthdata import GeneratorConfig, generate_stream, split_folds
 
 __all__ = [
-    "BinSpec", "CLLossConfig", "CaseRecord", "ContinualSurvivalEstimator",
+    "BinSpec", "CaseRecord", "ContinualSurvivalEstimator",
     "GatingResult", "GeneratorConfig", "MethodConfig", "ModelConfig",
     "MoEModule", "PerformanceMatrix", "ReplayBuffer", "ReplayItem",
-    "SurvLossConfig", "SurvivalModel", "TaskData", "TaskStream",
+    "SurvivalModel", "TaskData", "TaskStream",
     "assign_bin", "average_performance", "bwt", "c_index", "c_index_ipcw",
     "chi2_sf", "compute_bins", "forgetting", "fwt", "generate_stream",
     "hazards_to_survival", "km_estimator", "log_rank_test",

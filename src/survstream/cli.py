@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,7 @@ from .bagio import (CorruptFileError, DimensionMismatchError, ingest_stream,
                     ingest_task, save_stream)
 from .checkpoint import CheckpointMismatchError, load_model, save_model
 from .data import N_BINS, TaskData, TaskStream, require_int
-from .estimator import ContinualSurvivalEstimator
-from .harness import METHODS, collect_routing
+from .harness import METHODS, MethodConfig, collect_routing, run_sequence
 from .model import SurvivalModel
 from .reports import (SIGNIFICANCE_LEVEL, aggregate_metrics, emit_km_csv,
                       write_routing_csv, write_run_reports)
@@ -45,9 +45,9 @@ class ConfigError(ValueError):
     pass
 
 
-# estimator keywords a config may set; method and seed come from the sweep
-_EST_KEYS = frozenset(ContinualSurvivalEstimator._PARAM_NAMES) - {"method", "seed"}
-_RUN_KEYS = {"source", "methods", "seeds", "output_dir", "n_bins"} | _EST_KEYS
+# MethodConfig fields a config may set; method and seed come from the sweep
+_METHOD_KEYS = {f.name for f in fields(MethodConfig)} - {"method", "seed"}
+_RUN_KEYS = {"source", "methods", "seeds", "output_dir", "n_bins"} | _METHOD_KEYS
 _SOURCE_KEYS = {"type", "generator", "path"}
 
 
@@ -88,7 +88,7 @@ def load_config(path) -> dict:
         raise ConfigError("directory source requires a string 'path'")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string")
-    est_kwargs = {k: cfg[k] for k in _EST_KEYS if k in cfg}
+    method_kwargs = {k: cfg[k] for k in _METHOD_KEYS if k in cfg}
     try:
         require_int("n_bins", cfg.get("n_bins", N_BINS), 2)
     except ValueError as exc:
@@ -98,8 +98,7 @@ def load_config(path) -> dict:
             raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
         for seed in cfg["seeds"]:
             try:
-                ContinualSurvivalEstimator(method=method, seed=seed,
-                                           **est_kwargs).method_config()
+                MethodConfig(method=method, seed=seed, **method_kwargs)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"method {method!r}, seed {seed!r}: {exc}") from exc
     return cfg
@@ -125,17 +124,15 @@ def run_experiment(config_path) -> dict:
     cfg = load_config(config_path)
     out_root = _output_root(cfg)
     out_root.mkdir(parents=True, exist_ok=True)
-    est_kwargs = {k: cfg[k] for k in _EST_KEYS if k in cfg}
+    method_kwargs = {k: cfg[k] for k in _METHOD_KEYS if k in cfg}
     per_method: dict[str, list[dict]] = {}
     for seed in cfg["seeds"]:
         stream = _build_stream(cfg, seed)
         if cfg["source"]["type"] == "synthetic":
             save_stream(stream, out_root / f"stream_seed{seed}")
         for method in cfg["methods"]:
-            est = ContinualSurvivalEstimator(method=method, seed=seed,
-                                             **est_kwargs)
-            est.fit(stream)
-            result = est.result_
+            result = run_sequence(MethodConfig(method=method, seed=seed,
+                                               **method_kwargs), stream)
             run_dir = out_root / f"{method}_seed{seed}"
             metrics = write_run_reports(result, run_dir)
             save_model(result.model, run_dir / "checkpoint.npz")

@@ -3,14 +3,14 @@
 `ContinualSurvivalEstimator(method="fcr").fit(stream)` trains the configured
 method over a task stream; `predict_risk` / `predict_hazard` score cases
 through a task's own router and head. The keyword parameters are the fields
-of `MethodConfig(method="fcr")`, `loss` and `surv` inlined and `attn_dim` left
-out, with those values as defaults; an unknown one raises `ValueError`. So
-`get_params` / `set_params` and `clone`-style reuse work as in scikit-learn.
+of `MethodConfig`, with the values of `MethodConfig(method="fcr")` as
+defaults; an unknown one raises `ValueError`. So `get_params` / `set_params`
+and `clone`-style reuse work as in scikit-learn.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -18,21 +18,7 @@ from .data import CaseRecord, TaskStream
 from .harness import MethodConfig, SequenceResult, run_sequence
 from .survival import risk_scores
 
-# the nested configs whose fields are parameters of their own
-_NESTED = {f.name: f.default_factory for f in fields(MethodConfig)
-           if is_dataclass(f.default_factory)}
-
-
-def _flatten(cfg: MethodConfig) -> dict:
-    """The estimator parameters that describe `cfg`."""
-    flat = {}
-    for name, value in asdict(cfg).items():
-        flat.update(value if name in _NESTED else {name: value})
-    del flat["attn_dim"]
-    return flat
-
-
-_DEFAULTS = _flatten(MethodConfig(method="fcr"))
+_DEFAULTS = asdict(MethodConfig(method="fcr"))
 
 
 class NotFittedError(RuntimeError):
@@ -57,10 +43,7 @@ class ContinualSurvivalEstimator:
         return self
 
     def method_config(self) -> MethodConfig:
-        params = self.get_params()
-        nested = {name: cls(**{f.name: params.pop(f.name) for f in fields(cls)})
-                  for name, cls in _NESTED.items()}
-        return MethodConfig(**params, **nested)
+        return MethodConfig(**self.get_params())
 
     def fit(self, stream: TaskStream) -> "ContinualSurvivalEstimator":
         if not isinstance(stream, TaskStream) or stream.n_tasks == 0:

@@ -5,6 +5,7 @@ whole stream (reservoir discipline). Each stored case carries the three
 feature representations (patch, genomic, fused) frozen at insertion time;
 training later penalises the current model's drift from those features with
 squared L2 distances, and replays the stored cases through the survival loss.
+Loss weights are plain floats, defined and checked by `harness.MethodConfig`.
 """
 
 from __future__ import annotations
@@ -15,22 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .bagio import case_columns, column_cases, read_npz, write_npz
-from .data import CaseRecord, require_int, require_nonnegative
-from .survival import SurvLossConfig, nll_survival_loss
-
-
-@dataclass(frozen=True)
-class CLLossConfig:
-    """Weights of the combined continual-learning objective."""
-
-    alpha: float = 2.4e-3   # feature-constraint weight
-    beta: float = 0.5       # replay weight
-    replay_count: int = 1   # items sampled per training step
-
-    def __post_init__(self):
-        require_nonnegative("alpha", self.alpha)
-        require_nonnegative("beta", self.beta)
-        require_int("replay_count", self.replay_count, 1)
+from .data import CaseRecord
+from .survival import nll_survival_loss
 
 
 @dataclass
@@ -98,7 +85,8 @@ class ReplayBuffer:
 
     @classmethod
     def load(cls, path) -> "ReplayBuffer":
-        """Read a `save` archive; any damage raises `CorruptFileError`."""
+        """Read a `save` archive; damage, or a frozen feature or logit that
+        is not finite, raises `CorruptFileError`."""
         return read_npz(path, "replay buffer", cls._read)
 
     @classmethod
@@ -110,6 +98,9 @@ class ReplayBuffer:
         if (any(len(c) != len(cases) for c in columns)
                 or sum(z["has_logits"]) != len(z["logits"])):
             raise ValueError("per-item members differ in length")
+        for k in (*_FEATURES, "logits"):
+            if not np.isfinite(z[k]).all():
+                raise ValueError(f"{k} holds NaN or inf")
         logits = iter(z["logits"])
         for case, label, task_id, has_logits, *features in zip(cases, *columns):
             case.label = int(label)
@@ -121,9 +112,8 @@ class ReplayBuffer:
 # ---------------------------------------------------------------------------
 # losses
 
-def replay_terms(model, items: list[ReplayItem], cfg: CLLossConfig,
-                 survcfg: SurvLossConfig = SurvLossConfig()
-                 ) -> tuple[ad.Tensor, ad.Tensor]:
+def replay_terms(model, items: list[ReplayItem], alpha: float, beta: float,
+                 censored_weight: float = 0.0) -> tuple[ad.Tensor, ad.Tensor]:
     """(feature constraint, replay NLL), each a mean over `items`, from one
     forward per item.
 
@@ -131,19 +121,19 @@ def replay_terms(model, items: list[ReplayItem], cfg: CLLossConfig,
     maps from their frozen values; frozen features are constants, so
     gradients flow only through the current model's recomputation of each
     stored case. The replay NLL sends each case through its own task head.
-    A term whose weight in `cfg` is zero is not built and comes back as 0.
+    A term whose weight is zero is not built and comes back as 0.
     """
     fc = rl = None
     for it in items:
         hazards, f_p, f_g, f_f = model.forward(it.case, it.task_id)
-        if cfg.alpha > 0.0:
+        if alpha > 0.0:
             term = ad.add(ad.add(_sq_dist(it.f_patch, f_p),
                                  _sq_dist(it.f_genomic, f_g)),
                           _sq_dist(it.f_fused, f_f))
             fc = term if fc is None else ad.add(fc, term)
-        if cfg.beta > 0.0:
+        if beta > 0.0:
             term = nll_survival_loss(hazards, it.case.label, it.case.censored,
-                                     survcfg)
+                                     censored_weight)
             rl = term if rl is None else ad.add(rl, term)
     return _mean(fc, len(items)), _mean(rl, len(items))
 
@@ -157,14 +147,13 @@ def _mean(total: ad.Tensor | None, n: int) -> ad.Tensor:
 
 
 def replay_loss(model, items: list[ReplayItem],
-                survcfg: SurvLossConfig = SurvLossConfig()) -> ad.Tensor:
+                censored_weight: float = 0.0) -> ad.Tensor:
     """Mean survival NLL over replayed cases, each through its own task head."""
-    return replay_terms(model, items, CLLossConfig(alpha=0.0, beta=1.0),
-                        survcfg)[1]
+    return replay_terms(model, items, 0.0, 1.0, censored_weight)[1]
 
 
 def total_loss(current: ad.Tensor, feature_term: ad.Tensor, replay_term: ad.Tensor,
-               cfg: CLLossConfig) -> ad.Tensor:
+               alpha: float, beta: float) -> ad.Tensor:
     """current + alpha * feature constraint + beta * replay."""
-    return ad.add(current, ad.add(ad.scale(feature_term, cfg.alpha),
-                                  ad.scale(replay_term, cfg.beta)))
+    return ad.add(current, ad.add(ad.scale(feature_term, alpha),
+                                  ad.scale(replay_term, beta)))

@@ -6,8 +6,10 @@ deterministic RNG stream per concern (init / shuffling / buffer), fills the
 metrics. Row 0 of the matrix is the untrained model evaluated on every task;
 row l is the model after training task l.
 
-One epoch loop, `_run_epochs`, trains every method: on one task's splits at
-a time, or for joint on every task's at once.
+`MethodConfig` is the one definition of every run setting, the loss weights
+among them: the estimator's keyword parameters and the keys a run config may
+set are its fields. One epoch loop, `_run_epochs`, trains every method: on one
+task's splits at a time, or for joint on every task's at once.
 
 Reduction chain honoured by construction: fcr with alpha = beta = 0 takes
 bit-identical steps to finetune, and er equals fcr with alpha = 0 minus the
@@ -17,17 +19,16 @@ frozen-feature storage, because buffer randomness lives on its own stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import TaskData, TaskStream, require_int, require_nonnegative
-from .fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
-                  replay_terms, total_loss)
+from .fcr import ReplayBuffer, ReplayItem, replay_loss, replay_terms, total_loss
 from .model import ModelConfig, SurvivalModel
-from .survival import (SurvLossConfig, UndefinedMetricError, c_index,
-                       c_index_ipcw, nll_survival_loss, risk_scores)
+from .survival import (UndefinedMetricError, c_index, c_index_ipcw,
+                       nll_survival_loss, risk_scores)
 # bench/test_bench.py (BY_VALUE) requires this module to hold `risk_score`
 from .survival import risk_score  # noqa: F401
 from .synthdata import split_folds
@@ -36,9 +37,9 @@ REPLAY_METHODS = ("er", "derpp", "fcr")  # the methods that keep a buffer
 METHODS = ("finetune", "joint") + REPLAY_METHODS
 # the least value of each integer field; k_top counts routed experts beside
 # the shared one, so it may be 0
-_INT_MINIMA = {"epochs": 0, "buffer_capacity": 1, "latent": 1, "hidden": 1,
-               "attn_dim": 1, "n_experts": 1, "k_top": 0, "n_folds": 2,
-               "fold": 0, "seed": 0}
+_INT_MINIMA = {"epochs": 0, "replay_count": 1, "buffer_capacity": 1,
+               "latent": 1, "hidden": 1, "n_experts": 1, "k_top": 0,
+               "n_folds": 2, "fold": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,13 @@ class MethodConfig:
     epochs: int = 20
     learning_rate: float = 2e-4
     weight_decay: float = 1e-5
-    loss: CLLossConfig = field(default_factory=CLLossConfig)
-    surv: SurvLossConfig = field(default_factory=SurvLossConfig)
+    alpha: float = 2.4e-3         # feature-constraint weight
+    beta: float = 0.5             # replay weight
+    replay_count: int = 1         # items replayed per training step
+    censored_weight: float = 0.0  # alpha_s, scales down the censored NLL term
     buffer_capacity: int = 32
     latent: int = ModelConfig.latent
     hidden: int = ModelConfig.hidden
-    attn_dim: int = ModelConfig.attn_dim
     n_experts: int = ModelConfig.n_experts
     k_top: int = ModelConfig.k_top
     n_folds: int = 5
@@ -62,8 +64,10 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        require_nonnegative("learning_rate", self.learning_rate)
-        require_nonnegative("weight_decay", self.weight_decay)
+        for name in ("learning_rate", "weight_decay", "alpha", "beta"):
+            require_nonnegative(name, getattr(self, name))
+        if not 0.0 <= self.censored_weight <= 1.0:
+            raise ValueError("censored_weight must lie in [0, 1]")
         for name, low in _INT_MINIMA.items():
             require_int(name, getattr(self, name), low)
         if self.k_top + 1 > self.n_experts:
@@ -222,16 +226,15 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
                buffer: ReplayBuffer | None,
                rng_buffer: np.random.Generator) -> ad.Tensor:
     hazards, _, _, _ = model.forward(case, task_id)
-    current = nll_survival_loss(hazards, case.label, case.censored, cfg.surv)
-    method, loss_cfg = cfg.method, cfg.loss
+    current = nll_survival_loss(hazards, case.label, case.censored,
+                                cfg.censored_weight)
     if buffer is None or len(buffer) == 0:  # finetune and joint have none
         return current
-    if method == "er":  # fcr without the feature constraint
-        loss_cfg = replace(loss_cfg, alpha=0.0)
-    if loss_cfg.alpha == 0.0 and loss_cfg.beta == 0.0:
+    alpha = 0.0 if cfg.method == "er" else cfg.alpha  # er has no feature term
+    if alpha == 0.0 and cfg.beta == 0.0:
         return current
-    items = buffer.sample_replay(loss_cfg.replay_count, rng_buffer)
-    if method == "derpp":
+    items = buffer.sample_replay(cfg.replay_count, rng_buffer)
+    if cfg.method == "derpp":
         distill = None
         for it in items:
             _, _, _, f_f = model.forward(it.case, it.task_id)
@@ -239,10 +242,10 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
             term = ad.mean_all(ad.square(ad.sub(logits, ad.constant(it.logits))))
             distill = term if distill is None else ad.add(distill, term)
         distill = ad.scale(distill, 1.0 / len(items))
-        return total_loss(current, distill,
-                          replay_loss(model, items, cfg.surv), loss_cfg)
-    return total_loss(current, *replay_terms(model, items, loss_cfg, cfg.surv),
-                      loss_cfg)
+        rl = replay_loss(model, items, cfg.censored_weight)
+        return total_loss(current, distill, rl, alpha, cfg.beta)
+    fc, rl = replay_terms(model, items, alpha, cfg.beta, cfg.censored_weight)
+    return total_loss(current, fc, rl, alpha, cfg.beta)
 
 
 def _scored(model: SurvivalModel, task: TaskData, idx: np.ndarray
@@ -387,8 +390,8 @@ def build_model(stream: TaskStream, cfg: MethodConfig) -> SurvivalModel:
     n_bins = stream.tasks[0].bins.n_bins
     model = SurvivalModel(ModelConfig(
         d_patch=stream.d_patch, genomic_width=stream.genomic_width,
-        latent=cfg.latent, hidden=cfg.hidden, attn_dim=cfg.attn_dim,
-        n_bins=n_bins, n_experts=cfg.n_experts, k_top=cfg.k_top), rng_init)
+        latent=cfg.latent, hidden=cfg.hidden, n_bins=n_bins,
+        n_experts=cfg.n_experts, k_top=cfg.k_top), rng_init)
     for task in stream.tasks:
         model.add_task(task.task_id, rng_init)
     return model

@@ -52,17 +52,6 @@ class BinSpec:
             raise InsufficientEventsError("boundaries must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class SurvLossConfig:
-    """censored_weight is the alpha_s factor scaling down the censored term."""
-
-    censored_weight: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.censored_weight <= 1.0:
-            raise ValueError("censored_weight must lie in [0, 1]")
-
-
 def compute_bins(times, censor, n_bins: int) -> BinSpec:
     """Bin boundaries at the i/n_bins percentiles of the uncensored times.
 
@@ -94,13 +83,13 @@ def hazards_to_survival(hazards) -> np.ndarray:
 
 
 def nll_survival_loss(hazards: ad.Tensor, label: int, censored: int,
-                      cfg: SurvLossConfig = SurvLossConfig()) -> ad.Tensor:
+                      censored_weight: float = 0.0) -> ad.Tensor:
     """Censored negative log-likelihood on one case, as an autodiff scalar.
 
     `hazards` is a (1, n_bins) tensor of per-bin conditional hazards.
     Uncensored: -(log S(t_{Y-1}) + log h(t_Y)). Censored:
-    -(1 - censored_weight) * log S(t_Y). Hazards are clamped away from
-    {0, 1} before the logs.
+    -(1 - censored_weight) * log S(t_Y), alpha_s = censored_weight in [0, 1].
+    Hazards are clamped away from {0, 1} before the logs.
     """
     n_bins = hazards.shape[1]
     if not 0 <= label < n_bins:
@@ -114,7 +103,7 @@ def nll_survival_loss(hazards: ad.Tensor, label: int, censored: int,
         surv_mask = np.zeros((n_bins, 1))
         surv_mask[:label + 1, 0] = 1.0
         log_surv = ad.matmul(log_1mh, ad.constant(surv_mask))
-        return ad.scale(log_surv, -(1.0 - cfg.censored_weight))
+        return ad.scale(log_surv, -(1.0 - censored_weight))
     surv_mask = np.zeros((n_bins, 1))
     surv_mask[:label, 0] = 1.0  # S(t_{Y-1}); empty sum = log 1 = 0
     pick = np.zeros((n_bins, 1))

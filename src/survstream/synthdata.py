@@ -15,11 +15,12 @@ storage format round-trips bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .data import (CaseRecord, N_BINS, TaskData, TaskStream, build_task,
-                   require_int)
+                   require_int, require_nonnegative)
 
 
 class GenerationError(ValueError):
@@ -57,10 +58,15 @@ class GeneratorConfig:
             raise ValueError("signal_fraction must lie in [0, 1]")
         if not 0.0 <= self.censor_rate < 1.0:
             raise ValueError("censor_rate must lie in [0, 1)")
-        if min(self.shared_scale, self.specific_scale, self.cross_scale) < 0:
-            raise ValueError("scales must be nonnegative")
+        for name in ("shared_scale", "specific_scale", "cross_scale", "noise_scale"):
+            require_nonnegative(name, getattr(self, name))
+        bh = self.baseline_hazard
+        if not (isinstance(bh, Real) and np.isfinite(bh) and bh > 0):
+            raise ValueError(f"baseline_hazard must be a finite number > 0, got {bh!r}")
         if len(self.group_dims) != 6:
             raise ValueError("exactly six genomic groups")
+        for i, dim in enumerate(self.group_dims):
+            require_int(f"group_dims[{i}]", dim, 1)
 
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 from survstream import autodiff as ad
 from survstream.bagio import case_columns
 from survstream.data import CaseRecord, TaskStream
-from survstream.fcr import CLLossConfig, ReplayItem, replay_terms
+from survstream.fcr import ReplayItem, replay_terms
 
 
 def gradients(loss: ad.Tensor, params: Mapping[str, ad.Tensor]
@@ -55,7 +55,7 @@ def finite_diff_check(loss_fn: Callable[[], ad.Tensor],
 
 def feature_constraint_loss(model, items: list[ReplayItem]) -> ad.Tensor:
     """Mean squared drift of the three feature maps from their frozen values."""
-    return replay_terms(model, items, CLLossConfig(alpha=1.0, beta=0.0))[0]
+    return replay_terms(model, items, 1.0, 0.0)[0]
 
 
 def streams_equal(a: TaskStream, b: TaskStream) -> bool:

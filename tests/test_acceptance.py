@@ -14,8 +14,7 @@ import pytest
 from survstream import autodiff as ad
 from survstream import survival as sv
 from survstream.bagio import ingest_stream, save_stream
-from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
-                            total_loss)
+from survstream.fcr import ReplayBuffer, ReplayItem, replay_loss, total_loss
 from survstream.harness import (MethodConfig, average_performance, forgetting,
                                 run_sequence)
 from survstream.model import ModelConfig, SurvivalModel
@@ -71,7 +70,6 @@ def test_criterion_1_gradient_fidelity():
         f_p, f_g, f_f = model.feature_triple(case, 0)
         # nonzero drift so the feature term actually contributes gradient
         items.append(ReplayItem(case, 0, f_p + 0.2, f_g - 0.1, f_f + 0.1))
-    cfg = CLLossConfig(alpha=0.7, beta=0.6)
     params = model.trainable_parameters(0)
 
     def loss_fn():
@@ -82,7 +80,7 @@ def test_criterion_1_gradient_fidelity():
             current = term if current is None else ad.add(current, term)
         current = ad.scale(current, 0.5)
         return total_loss(current, feature_constraint_loss(model, items),
-                          replay_loss(model, items), cfg)
+                          replay_loss(model, items), 0.7, 0.6)
 
     rel_err = finite_diff_check(loss_fn, params, eps=1e-5)
     elapsed = time.perf_counter() - t0
@@ -290,12 +288,11 @@ def test_criterion_6_reduction_chain():
     gen = GeneratorConfig(n_tasks=2, cases_per_task=60, n_patches=(3, 6),
                           d_patch=8, group_dims=(5, 4, 3, 6, 2, 4), seed=6)
     stream = generate_stream(gen)
-    kw = dict(latent=8, hidden=10, attn_dim=4, n_experts=4, k_top=1,
-              epochs=2, seed=6)
+    kw = dict(latent=8, hidden=10, n_experts=4, k_top=1, epochs=2, seed=6)
     trajectories = {}
-    for method, loss in (("finetune", CLLossConfig()),
-                         ("fcr", CLLossConfig(alpha=0.0, beta=0.0)),
-                         ("er", CLLossConfig(alpha=0.0, beta=0.0))):
+    for method, weights in (("finetune", {}),
+                            ("fcr", dict(alpha=0.0, beta=0.0)),
+                            ("er", dict(alpha=0.0, beta=0.0))):
         hashes = []
 
         def hook(model):
@@ -304,7 +301,7 @@ def test_criterion_6_reduction_chain():
                 digest.update(model.parameters()[name].data.tobytes())
             hashes.append(digest.hexdigest())
 
-        run_sequence(MethodConfig(method=method, loss=loss, **kw), stream,
+        run_sequence(MethodConfig(method=method, **weights, **kw), stream,
                      step_hook=hook)
         trajectories[method] = hashes
     same_fcr = trajectories["finetune"] == trajectories["fcr"]
@@ -394,9 +391,9 @@ def test_criterion_9_loss_hand_cases():
     c_ref = -(math.log(0.8) + math.log(0.7))
     nll_ok = max(abs(a - a_ref), abs(b - b_ref), abs(c - c_ref)) < 1e-9
     t1 = total_loss(ad.constant(3.0), ad.constant(4.0), ad.constant(0.5),
-                    CLLossConfig(alpha=0.25, beta=2.0)).item()
+                    0.25, 2.0).item()
     t2 = total_loss(ad.constant(1.5), ad.constant(0.0), ad.constant(2.0),
-                    CLLossConfig(alpha=2.4e-3, beta=0.5)).item()
+                    2.4e-3, 0.5).item()
     total_ok = t1 == 3.0 + 0.25 * 4.0 + 2.0 * 0.5 and t2 == 1.5 + 0.5 * 2.0
     _report(9, nll_ok and total_ok,
             f"nll deviations < 1e-9 (max {max(abs(a - a_ref), abs(b - b_ref), abs(c - c_ref)):.2g}), "

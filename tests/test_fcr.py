@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from survstream import autodiff as ad
 from survstream.bagio import CorruptFileError
-from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
-                            total_loss)
+from survstream.fcr import ReplayBuffer, ReplayItem, replay_loss, total_loss
 from survstream.model import SurvivalModel
 from tests.helpers import feature_constraint_loss, finite_diff_check, spoil
 from tests.test_backbone import TINY, make_case
@@ -20,22 +19,6 @@ def make_item(rng, task_id=0, d=8, cid="c0"):
     return ReplayItem(case, task_id,
                       rng.normal(size=(1, d)), rng.normal(size=(1, d)),
                       rng.normal(size=(1, d)))
-
-
-class TestCLLossConfig:
-    def test_defaults(self):
-        cfg = CLLossConfig()
-        assert cfg.alpha == 2.4e-3
-        assert cfg.beta == 0.5
-        assert cfg.replay_count == 1
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            CLLossConfig(alpha=-0.1)
-
-    def test_zero_replay_count_rejected(self):
-        with pytest.raises(ValueError):
-            CLLossConfig(replay_count=0)
 
 
 class TestReservoir:
@@ -268,6 +251,20 @@ class TestBufferSerialization:
             f"{path}: unreadable replay buffer (ValueError: case 'case_1': "
             f"a {what} value is not finite)")
 
+    @pytest.mark.parametrize("member, value", [
+        ("f_patch", math.nan), ("f_genomic", math.inf),
+        ("f_fused", -math.inf), ("logits", math.inf)])
+    def test_a_non_finite_frozen_value_is_a_corrupt_file(self, tmp_path,
+                                                         member, value):
+        buf, path = _saved_buffer(tmp_path, n_items=3)
+        getattr(buf.items[1], member)[0, 0] = value  # item 1 has logits
+        buf.save(path)
+        with pytest.raises(CorruptFileError) as caught:
+            ReplayBuffer.load(path)
+        assert str(caught.value) == (
+            f"{path}: unreadable replay buffer (ValueError: {member} holds "
+            f"NaN or inf)")
+
     def test_an_old_layout_buffer_is_a_corrupt_file(self, tmp_path):
         # one member per item array under `i/<name>`
         buf, _ = _saved_buffer(tmp_path)
@@ -365,9 +362,8 @@ class TestLosses:
         assert replay_loss(model, []).item() == 0.0
 
     def test_total_loss_arithmetic(self):
-        cfg = CLLossConfig(alpha=0.25, beta=2.0)
         out = total_loss(ad.constant(3.0), ad.constant(4.0),
-                         ad.constant(0.5), cfg)
+                         ad.constant(0.5), 0.25, 2.0)
         assert out.item() == 3.0 + 0.25 * 4.0 + 2.0 * 0.5
 
     def test_gradients_flow_into_current_model_only(self, model):

@@ -1,13 +1,13 @@
-from dataclasses import replace
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from survstream import autodiff as ad
 from survstream import harness
-from survstream.estimator import ContinualSurvivalEstimator, _flatten
-from survstream.fcr import (CLLossConfig, ReplayBuffer, ReplayItem, replay_loss,
-                            total_loss)
+from survstream.estimator import ContinualSurvivalEstimator
+from survstream.fcr import ReplayBuffer, ReplayItem, replay_loss, total_loss
 from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
                                 _step_loss, average_on_trained,
                                 average_performance, build_model, bwt,
@@ -15,12 +15,11 @@ from survstream.harness import (AdamW, MethodConfig, PerformanceMatrix,
                                 run_sequence, train_task)
 from survstream.model import SurvivalModel
 from survstream.moe import MoEModule
-from survstream.survival import (SurvLossConfig, UndefinedMetricError,
-                                 nll_survival_loss)
+from survstream.survival import UndefinedMetricError, nll_survival_loss
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
 from tests.helpers import feature_constraint_loss
 
-TINY_KW = dict(latent=8, hidden=10, attn_dim=4, n_experts=4, k_top=1)
+TINY_KW = dict(latent=8, hidden=10, n_experts=4, k_top=1)
 GEN = GeneratorConfig(n_tasks=2, cases_per_task=60, n_patches=(3, 6),
                       d_patch=8, group_dims=(5, 4, 3, 6, 2, 4), seed=0)
 
@@ -156,18 +155,31 @@ class TestMethodConfig:
         assert cfg.learning_rate == 2e-4
         assert cfg.weight_decay == 1e-5
         assert cfg.buffer_capacity == 32
+        assert cfg.censored_weight == 0.0
+
+    def test_loss_defaults(self):
+        cfg = MethodConfig()
+        assert cfg.alpha == 2.4e-3
+        assert cfg.beta == 0.5
+        assert cfg.replay_count == 1
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", -0.1), ("alpha", math.nan), ("beta", math.inf),
+        ("beta", -1.0), ("replay_count", 0), ("replay_count", 1.5),
+        ("censored_weight", 2.0), ("censored_weight", math.nan)])
+    def test_bad_loss_setting(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            MethodConfig(**{name: value})
 
     def test_estimator_defaults_match_method_config(self):
-        # the estimator's parameters are MethodConfig's fields flattened:
-        # rebuilding a config from them gives the config back
+        # the estimator's parameters are MethodConfig's fields: rebuilding a
+        # config from them gives the config back
         assert (ContinualSurvivalEstimator().method_config()
                 == MethodConfig(method="fcr"))
-        cfg = MethodConfig(method="derpp", epochs=3,
-                           loss=CLLossConfig(alpha=0.1, beta=0.2,
-                                             replay_count=4),
-                           surv=SurvLossConfig(censored_weight=0.3),
+        cfg = MethodConfig(method="derpp", epochs=3, alpha=0.1, beta=0.2,
+                           replay_count=4, censored_weight=0.3,
                            buffer_capacity=7, latent=16, k_top=3, fold=1)
-        est = ContinualSurvivalEstimator(**_flatten(cfg))
+        est = ContinualSurvivalEstimator(**asdict(cfg))
         assert est.method_config() == cfg
         assert ContinualSurvivalEstimator().set_params(
             **est.get_params()).method_config() == cfg
@@ -244,11 +256,10 @@ def result(stream):
 @pytest.fixture(scope="module")
 def degenerate_states(stream):
     out = {}
-    for method, loss in (
-            ("finetune", CLLossConfig()),
-            ("fcr", CLLossConfig(alpha=0.0, beta=0.0)),
-            ("er", CLLossConfig(alpha=0.0, beta=0.0))):
-        cfg = MethodConfig(method=method, epochs=2, seed=1, loss=loss,
+    for method, weights in (("finetune", {}),
+                            ("fcr", dict(alpha=0.0, beta=0.0)),
+                            ("er", dict(alpha=0.0, beta=0.0))):
+        cfg = MethodConfig(method=method, epochs=2, seed=1, **weights,
                            **TINY_KW)
         out[method] = run_sequence(cfg, stream).model.get_state()
     return out
@@ -327,8 +338,8 @@ class TestRunSequence:
                                   equal_nan=True), name
 
     def test_derpp_stores_logits(self, stream):
-        cfg = MethodConfig(method="derpp", epochs=1, seed=0,
-                           loss=CLLossConfig(alpha=0.1, beta=0.5), **TINY_KW)
+        cfg = MethodConfig(method="derpp", epochs=1, seed=0, alpha=0.1,
+                           beta=0.5, **TINY_KW)
         res = run_sequence(cfg, stream)
         assert all(it.logits is not None for it in res.buffer.items)
 
@@ -347,8 +358,8 @@ class TestReductionChain:
 
     @staticmethod
     def _er_state(stream, alpha, beta):
-        cfg = MethodConfig(method="er", epochs=2, seed=1,
-                           loss=CLLossConfig(alpha=alpha, beta=beta), **TINY_KW)
+        cfg = MethodConfig(method="er", epochs=2, seed=1, alpha=alpha,
+                           beta=beta, **TINY_KW)
         return run_sequence(cfg, stream).model.get_state()
 
     def test_er_without_replay_weight_equals_finetune(self, stream,
@@ -363,10 +374,10 @@ class TestReductionChain:
                                   self._er_state(stream, 0.0, 0.5))
 
     def test_nonzero_weights_change_trajectory(self, stream):
-        base = MethodConfig(method="fcr", epochs=1, seed=1,
-                            loss=CLLossConfig(alpha=0.0, beta=0.0), **TINY_KW)
-        active = MethodConfig(method="fcr", epochs=1, seed=1,
-                              loss=CLLossConfig(alpha=0.5, beta=0.5), **TINY_KW)
+        base = MethodConfig(method="fcr", epochs=1, seed=1, alpha=0.0,
+                            beta=0.0, **TINY_KW)
+        active = MethodConfig(method="fcr", epochs=1, seed=1, alpha=0.5,
+                              beta=0.5, **TINY_KW)
         a = run_sequence(base, stream).model.get_state()
         b = run_sequence(active, stream).model.get_state()
         assert not model_states_equal(a, b)
@@ -408,9 +419,8 @@ def test_fcr_step_loss_equals_the_standalone_loss_functions(stream, drift):
     stored features have not drifted; once they have, the shared forward
     adds the two terms' upstream gradients before back-propagating them, so
     the gradients agree only up to rounding."""
-    cfg = MethodConfig(method="fcr", seed=4,
-                       loss=CLLossConfig(alpha=0.3, beta=0.7, replay_count=3),
-                       **TINY_KW)
+    cfg = MethodConfig(method="fcr", seed=4, alpha=0.3, beta=0.7,
+                       replay_count=3, **TINY_KW)
     model = build_model(stream, cfg)
     task = stream.tasks[1]
     buffer = ReplayBuffer(4)
@@ -428,10 +438,11 @@ def test_fcr_step_loss_equals_the_standalone_loss_functions(stream, drift):
     step = _step_loss(cfg, model, case, 1, buffer, np.random.default_rng(6))
     step_grads = _grads_of(step, params)
     hazards = model.forward(case, 1)[0]
-    current = nll_survival_loss(hazards, case.label, case.censored, cfg.surv)
+    current = nll_survival_loss(hazards, case.label, case.censored,
+                                cfg.censored_weight)
     fc = feature_constraint_loss(model, items)
-    ref = total_loss(current, fc, replay_loss(model, items, cfg.surv),
-                     cfg.loss)
+    ref = total_loss(current, fc, replay_loss(model, items, cfg.censored_weight),
+                     cfg.alpha, cfg.beta)
     ref_grads = _grads_of(ref, params)
 
     assert (fc.item() > 0.0) == (drift > 0.0)

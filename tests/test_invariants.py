@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from survstream import autodiff as ad
 from survstream import moe
-from survstream.fcr import CLLossConfig
 from survstream.harness import MethodConfig, build_model, run_sequence
 from survstream.survival import InsufficientEventsError
 from survstream.synthdata import GenerationError, GeneratorConfig, generate_stream
@@ -99,7 +98,7 @@ def settings_and_stream(draw):
         group_dims=(3, 2, 4, 2, 3, 2), seed=draw(st.integers(0, 2 ** 16)))
     kw = dict(epochs=draw(st.integers(1, 2)),
               buffer_capacity=draw(st.integers(1, 8)), latent=4, hidden=6,
-              attn_dim=3, n_experts=n_experts,
+              n_experts=n_experts,
               k_top=draw(st.integers(0, n_experts - 2)), n_folds=2,
               seed=draw(st.integers(0, 2 ** 16)))
     replay = dict(replay_count=draw(st.integers(1, 3)))
@@ -115,11 +114,11 @@ def settings_and_stream(draw):
 @given(settings_and_stream())
 def test_reduction_chain_frozen_routers_and_routing(drawn):
     stream, kw, replay, beta = drawn
-    zero = CLLossConfig(alpha=0.0, beta=0.0, **replay)
-    replayed = CLLossConfig(alpha=0.0, beta=beta, **replay)
-    runs = {(m, loss): MethodConfig(method=m, loss=cfg_loss, **kw)
-            for m, loss, cfg_loss in
-            [("finetune", "none", CLLossConfig())]
+    zero = dict(alpha=0.0, beta=0.0, **replay)
+    replayed = dict(alpha=0.0, beta=beta, **replay)
+    runs = {(m, loss): MethodConfig(method=m, **weights, **kw)
+            for m, loss, weights in
+            [("finetune", "none", {})]
             + [(m, "zero", zero) for m in ("fcr", "er", "derpp")]
             + [(m, "beta", replayed) for m in ("er", "fcr", "derpp")]}
     digests = {}

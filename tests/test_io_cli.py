@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -670,6 +670,16 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 load_config(write_config(tmp_path, **{key: 0}))
 
+    def test_method_config_names_every_run_setting_once(self, tmp_path):
+        names = {f.name for f in fields(MethodConfig)}
+        assert set(ContinualSurvivalEstimator._PARAM_NAMES) == names
+        method_keys = _RUN_KEYS - {"source", "methods", "seeds", "output_dir",
+                                   "n_bins"}
+        assert method_keys | {"method", "seed"} == names
+        defaults = MethodConfig()
+        for key in method_keys:  # each is accepted at its default value
+            load_config(write_config(tmp_path, **{key: getattr(defaults, key)}))
+
     def test_missing_required(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"methods": ["fcr"]}))
@@ -702,6 +712,8 @@ class TestConfigValues:
            "weight_decay NaN": {"weight_decay": math.nan},
            "zero replay_count": {"replay_count": 0},
            "replay_count a float": {"replay_count": 1.5},
+           "censored_weight above 1": {"censored_weight": 2.0},
+           "censored_weight NaN": {"censored_weight": math.nan},
            "repeated method": {"methods": ["finetune", "finetune"]},
            "repeated seed": {"seeds": [0, 0]},
            "epochs not a number": {"epochs": "many"},
@@ -750,14 +762,25 @@ class TestConfigValues:
                                            "generator": {"n_patches": [1.0, 2.0]}}},
            "signal_fraction above 1": {"source": {"type": "synthetic",
                                                   "generator": {"signal_fraction": 1.5}}},
+           "group_dims holds a string": {"source": {"type": "synthetic",
+                                                    "generator": {"group_dims": ["a", 1, 1, 1, 1, 1]}}},
+           "noise_scale a string": {"source": {"type": "synthetic",
+                                               "generator": {"noise_scale": "a"}}},
+           "negative baseline_hazard": {"source": {"type": "synthetic",
+                                                   "generator": {"baseline_hazard": -1}}},
+           "zero baseline_hazard": {"source": {"type": "synthetic",
+                                               "generator": {"baseline_hazard": 0}}},
+           "shared_scale NaN": {"source": {"type": "synthetic",
+                                           "generator": {"shared_scale": math.nan}}},
            "output_dir a number": {"output_dir": 5},
            "source path a number": {"source": {"type": "directory", "path": 5}},
            "directory source without a path": {"source": {"type": "directory"}}}
 
-    @pytest.mark.parametrize("attn_dim", [0, True, 2.0])
+    @pytest.mark.parametrize("attn_dim", [0, True, 2.0, 4])
     def test_method_config_refuses_an_attn_dim(self, attn_dim):
-        # not a config key, so BAD cannot reach it
-        with pytest.raises(ValueError, match="attn_dim"):
+        # the attention width is the model's own (ModelConfig.attn_dim), not
+        # a run setting
+        with pytest.raises(TypeError, match="attn_dim"):
             MethodConfig(attn_dim=attn_dim)
 
     @pytest.mark.parametrize("case", sorted(BAD))

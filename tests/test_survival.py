@@ -107,8 +107,7 @@ class TestNLL:
     def test_censored_weight_scales_down(self):
         h = ad.constant([[0.2, 0.3, 0.4, 0.5]])
         base = sv.nll_survival_loss(h, 1, 1).item()
-        scaled = sv.nll_survival_loss(
-            h, 1, 1, sv.SurvLossConfig(censored_weight=0.25)).item()
+        scaled = sv.nll_survival_loss(h, 1, 1, censored_weight=0.25).item()
         assert abs(scaled - 0.75 * base) < 1e-12
 
     def test_clamp_keeps_loss_finite(self):

@@ -122,7 +122,11 @@ class TestValidation:
         {"n_patches": (6, 3)}, {"n_patches": (0, 2)}, {"n_patches": 5},
         {"n_patches": (1, 2, 3)}, {"n_patches": (1.0, 2.0)},
         {"signal_fraction": 1.5}, {"signal_fraction": -0.1},
-        {"signal_fraction": float("nan")}])
+        {"signal_fraction": float("nan")},
+        {"group_dims": ("a", 1, 1, 1, 1, 1)}, {"group_dims": (4, 0, 4, 4, 4, 4)},
+        {"noise_scale": "a"}, {"noise_scale": -0.5},
+        {"baseline_hazard": -1}, {"baseline_hazard": 0},
+        {"baseline_hazard": float("inf")}, {"shared_scale": float("nan")}])
     def test_bad_generator_value(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             GeneratorConfig(**bad)
