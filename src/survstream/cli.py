@@ -6,6 +6,10 @@ Verbs:
     km CKPT DATA TASK OUT       -- risk-split Kaplan-Meier curves + log-rank
     routing CKPT DATA TASK OUT  -- per-expert selection proportions
 
+run builds every stream before any output: a directory source is read once
+for all seeds; a synthetic one is generated per seed, with the sweep's seed
+and the top-level n_bins.
+
 km and routing read the manifest and TASK's file only, and refuse a TASK the
 checkpoint has no head for, another patch width or wider genomic groups.
 
@@ -48,13 +52,23 @@ class ConfigError(ValueError):
 # MethodConfig fields a config may set; method and seed come from the sweep
 _METHOD_KEYS = {f.name for f in fields(MethodConfig)} - {"method", "seed"}
 _RUN_KEYS = {"source", "methods", "seeds", "output_dir", "n_bins"} | _METHOD_KEYS
-_SOURCE_KEYS = {"type", "generator", "path"}
+_SOURCE_KEYS = {"synthetic": {"type", "generator"}, "directory": {"type", "path"}}
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+
+
+def _generator(cfg: dict, seed) -> GeneratorConfig:
+    """`seed`'s generator config. The sweep sets its `seed` and the top-level
+    key its `n_bins`, so a `source.generator` that sets either is refused."""
+    try:  # the constructor refuses unknown keys and bad values itself
+        return GeneratorConfig(seed=seed, n_bins=cfg.get("n_bins", N_BINS),
+                               **cfg["source"].get("generator", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"source.generator: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -68,23 +82,21 @@ def load_config(path) -> dict:
     for key in ("source", "methods", "seeds", "output_dir"):
         if key not in cfg:
             raise ConfigError(f"config missing required key {key!r}")
-    _check_keys(cfg["source"], _SOURCE_KEYS, "source")
     if not all(isinstance(cfg[k], list) and cfg[k] for k in ("methods", "seeds")):
         raise ConfigError("methods and seeds must be nonempty lists")
     for key in ("methods", "seeds"):
         for i, value in enumerate(cfg[key]):
             if value in cfg[key][:i]:
                 raise ConfigError(f"{key} lists {value!r} more than once")
-    src_type = cfg["source"].get("type")
-    if src_type not in ("synthetic", "directory"):
-        raise ConfigError("source.type must be 'synthetic' or 'directory'")
-    if src_type == "synthetic":
-        try:  # the constructor refuses unknown keys and bad values itself
-            GeneratorConfig(**{"seed": 0, "n_bins": cfg.get("n_bins", N_BINS),
-                               **cfg["source"].get("generator", {})})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"source.generator: {exc}") from exc
-    elif not isinstance(cfg["source"].get("path"), str):
+    src = cfg["source"]
+    if not (isinstance(src, dict) and src.get("type") in ("synthetic", "directory")):
+        raise ConfigError("source must be an object whose type is 'synthetic' "
+                          "or 'directory'")
+    _check_keys(src, _SOURCE_KEYS[src["type"]], f"{src['type']} source")
+    if src["type"] == "synthetic":
+        for seed in cfg["seeds"]:
+            _generator(cfg, seed)
+    elif not isinstance(src.get("path"), str):
         raise ConfigError("directory source requires a string 'path'")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string")
@@ -104,15 +116,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _build_stream(cfg: dict, seed: int) -> TaskStream:
-    src = cfg["source"]
-    n_bins = cfg.get("n_bins", N_BINS)
-    if src["type"] == "synthetic":
-        gen = {"seed": seed, "n_bins": n_bins, **src.get("generator", {})}
-        return generate_stream(GeneratorConfig(**gen))
-    return ingest_stream(src["path"], n_bins=n_bins)
-
-
 def _output_root(cfg: dict) -> Path:
     root = os.environ.get("SURVSTREAM_OUTPUT_ROOT")
     out = Path(cfg["output_dir"])
@@ -122,13 +125,20 @@ def _output_root(cfg: dict) -> Path:
 def run_experiment(config_path) -> dict:
     """Execute every (method, seed) run and write per-run + aggregate reports."""
     cfg = load_config(config_path)
+    synthetic = cfg["source"]["type"] == "synthetic"
+    # build every stream first, so one that cannot be built leaves no output
+    if synthetic:
+        streams = {seed: generate_stream(_generator(cfg, seed))
+                   for seed in cfg["seeds"]}
+    else:
+        streams = dict.fromkeys(cfg["seeds"], ingest_stream(
+            cfg["source"]["path"], n_bins=cfg.get("n_bins", N_BINS)))
     out_root = _output_root(cfg)
     out_root.mkdir(parents=True, exist_ok=True)
     method_kwargs = {k: cfg[k] for k in _METHOD_KEYS if k in cfg}
     per_method: dict[str, list[dict]] = {}
-    for seed in cfg["seeds"]:
-        stream = _build_stream(cfg, seed)
-        if cfg["source"]["type"] == "synthetic":
+    for seed, stream in streams.items():
+        if synthetic:
             save_stream(stream, out_root / f"stream_seed{seed}")
         for method in cfg["methods"]:
             result = run_sequence(MethodConfig(method=method, seed=seed,

@@ -88,12 +88,15 @@ def nll_survival_loss(hazards: ad.Tensor, label: int, censored: int,
 
     `hazards` is a (1, n_bins) tensor of per-bin conditional hazards.
     Uncensored: -(log S(t_{Y-1}) + log h(t_Y)). Censored:
-    -(1 - censored_weight) * log S(t_Y), alpha_s = censored_weight in [0, 1].
-    Hazards are clamped away from {0, 1} before the logs.
+    -(1 - censored_weight) * log S(t_Y), alpha_s = censored_weight in [0, 1];
+    a weight outside [0, 1], NaN among them, raises ValueError. Hazards are
+    clamped away from {0, 1} before the logs.
     """
     n_bins = hazards.shape[1]
     if not 0 <= label < n_bins:
         raise ValueError(f"label {label} outside [0, {n_bins})")
+    if not 0.0 <= censored_weight <= 1.0:
+        raise ValueError(f"censored_weight must lie in [0, 1], got {censored_weight!r}")
     clamped = np.clip(hazards.data, HAZARD_EPS, 1.0 - HAZARD_EPS)
     # clamp as a constant offset so the graph stays differentiable where active
     h = ad.add(hazards, ad.constant(clamped - hazards.data))
@@ -260,27 +263,12 @@ def _running_sum(terms: np.ndarray) -> float:
 
 
 def chi2_sf(x: float, df: int = 1) -> float:
-    """Chi-square survival function Q(df/2, x/2) for an integer df >= 1, in
-    closed form (Abramowitz & Stegun 26.4.4-26.4.5), with y = x/2:
-        even df: e^-y * sum_{k < df/2} y^k / k!
-        odd df:  erfc(sqrt y) + e^-y * sum_{k <= (df-3)/2} y^(k+1/2) / Gamma(k+3/2)
-    Each term is the exp of its logarithm, so none overflows for large df."""
-    if isinstance(df, bool) or not isinstance(df, Integral) or df < 1:
-        raise ValueError(f"chi2_sf requires an integer df >= 1, got {df!r}")
+    """Chi-square survival function for df = 1: Q(1/2, x/2) = erfc(sqrt(x/2))."""
+    if isinstance(df, bool) or not isinstance(df, Integral) or df != 1:
+        raise ValueError(f"chi2_sf requires the integer df 1, got {df!r}")
     if x < 0.0:
         raise ValueError("chi2_sf requires x >= 0")
-    y = x / 2.0
-    if y == 0.0:  # log(0) below
-        return 1.0
-    if math.isinf(y):  # 0 * inf in the first term below
-        return 0.0
-    half = (df % 2) / 2.0
-    q = math.erfc(math.sqrt(y)) if half else 0.0
-    log_y = math.log(y)
-    for k in range(df // 2):
-        a = k + half
-        q += math.exp(a * log_y - y - math.lgamma(a + 1.0))
-    return q
+    return math.erfc(math.sqrt(x / 2.0))
 
 
 def log_rank_test(times_a, events_a, times_b, events_b) -> tuple[float, float]:

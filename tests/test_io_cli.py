@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import survstream
+from survstream import cli
 from survstream.bagio import (CorruptFileError, DimensionMismatchError,
                               ingest_stream, ingest_task, read_npz,
                               read_task_file, save_stream, write_task_file)
@@ -772,6 +773,18 @@ class TestConfigValues:
                                                "generator": {"baseline_hazard": 0}}},
            "shared_scale NaN": {"source": {"type": "synthetic",
                                            "generator": {"shared_scale": math.nan}}},
+           "source a number": {"source": 5},
+           "source null": {"source": None},
+           "synthetic source with a path": {"source": {"type": "synthetic",
+                                                       "generator": {},
+                                                       "path": "stream"}},
+           "directory source with a generator": {"source": {"type": "directory",
+                                                            "path": "stream",
+                                                            "generator": {}}},
+           "generator seed": {"source": {"type": "synthetic",
+                                         "generator": {"seed": 1}}},
+           "generator n_bins": {"source": {"type": "synthetic",
+                                           "generator": {"n_bins": 3}}},
            "output_dir a number": {"output_dir": 5},
            "source path a number": {"source": {"type": "directory", "path": 5}},
            "directory source without a path": {"source": {"type": "directory"}}}
@@ -787,6 +800,11 @@ class TestConfigValues:
     def test_rejected_as_config_error(self, tmp_path, case):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, **self.BAD[case]))
+
+    @pytest.mark.parametrize("key", ["seed", "n_bins"])
+    def test_a_generator_key_the_sweep_sets_is_named(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_config(tmp_path, **self.BAD[f"generator {key}"]))
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_run_exits_1_before_writing_output(self, tmp_path, capsys,
@@ -895,6 +913,41 @@ class TestCLI:
         assert err.startswith(f"data error: {tmp_path / 's' / 'task_0.npz'}: "
                               "unreadable task file (ValueError: case "
                               f"{bad.case_id!r}: a patch value is not finite)")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", [
+        {"type": "directory", "path": "no_such_stream"},
+        {"type": "synthetic", "generator": {"baseline_hazard": 1e300}}])
+    def test_a_stream_that_cannot_be_built_exits_2_before_any_output(
+            self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        with np.errstate(all="ignore"):
+            code = main(["run", str(write_config(tmp_path, source=source))])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_directory_source_is_read_once_for_every_seed(self, tmp_path,
+                                                            stream, monkeypatch):
+        save_stream(stream, tmp_path / "s")
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(args)
+            return ingest_stream(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_stream", counted)
+        path = write_config(tmp_path, tmp_path / "s", seeds=[0, 1])
+        assert main(["run", str(path)]) == 0
+        assert reads == [(str(tmp_path / "s"),)]
+        for seed in (0, 1):
+            assert (tmp_path / "out" / f"finetune_seed{seed}" / "metrics.json").exists()
+
+    def test_each_seed_of_a_synthetic_sweep_has_its_own_stream(self, tmp_path):
+        assert main(["run", str(write_config(tmp_path, seeds=[0, 1]))]) == 0
+        saved = [ingest_stream(tmp_path / "out" / f"stream_seed{seed}")
+                 for seed in (0, 1)]
+        assert not streams_equal(*saved)
 
     def test_km_missing_task_exit_code(self, tmp_path):
         path = write_config(tmp_path)

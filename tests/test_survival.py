@@ -110,6 +110,12 @@ class TestNLL:
         scaled = sv.nll_survival_loss(h, 1, 1, censored_weight=0.25).item()
         assert abs(scaled - 0.75 * base) < 1e-12
 
+    @pytest.mark.parametrize("weight", [2.0, -0.1, math.nan])
+    def test_censored_weight_outside_0_1_rejected(self, weight):
+        h = ad.constant([[0.2, 0.3, 0.4, 0.5]])
+        with pytest.raises(ValueError, match="censored_weight"):
+            sv.nll_survival_loss(h, 1, 1, censored_weight=weight)
+
     def test_clamp_keeps_loss_finite(self):
         h = ad.constant([[1.0, 0.0, 0.5, 0.5]])
         loss = sv.nll_survival_loss(h, 1, 0)
@@ -645,20 +651,19 @@ class TestChi2:
     def test_boundaries(self):
         assert sv.chi2_sf(0.0, 1) == 1.0
         assert sv.chi2_sf(1e9, 1) < 1e-12
-        assert sv.chi2_sf(0.0, 4) == 1.0 and sv.chi2_sf(math.inf, 4) == 0.0
+        assert sv.chi2_sf(math.inf, 1) == 0.0
 
     def test_matches_scipy_stats(self):
         from scipy.stats import chi2 as chi2_dist
         for x in (0.1, 1.0, 2.5, 6.63, 10.0):
-            for df in (1, 2, 5):
-                assert abs(sv.chi2_sf(x, df) - chi2_dist.sf(x, df)) < 1e-12
+            assert abs(sv.chi2_sf(x, 1) - chi2_dist.sf(x, 1)) < 1e-12
 
     @settings(max_examples=500, deadline=None)
-    @given(st.integers(1, 10), st.floats(0.0, 1e4) | st.floats(0.0, 1e-6))
-    def test_matches_gammaincc(self, df, x):
+    @given(st.floats(0.0, 1e4) | st.floats(0.0, 1e-6))
+    def test_matches_gammaincc(self, x):
         special = pytest.importorskip("scipy.special")
-        want = float(special.gammaincc(df / 2.0, x / 2.0))
-        err = abs(sv.chi2_sf(x, df) - want)
+        want = float(special.gammaincc(0.5, x / 2.0))
+        err = abs(sv.chi2_sf(x, 1) - want)
         assert err <= 1e-12
         if want > 1e-300:
             assert err <= 1e-12 * want
@@ -667,7 +672,7 @@ class TestChi2:
         with pytest.raises(ValueError):
             sv.chi2_sf(-0.1, 1)
 
-    @pytest.mark.parametrize("df", [0, 1.5, True])
+    @pytest.mark.parametrize("df", [0, 1.5, True, 2])
     def test_df_must_be_a_positive_integer(self, df):
         with pytest.raises(ValueError, match="integer df"):
             sv.chi2_sf(1.0, df)
