@@ -93,10 +93,7 @@ def load_config(path) -> dict:
         raise ConfigError("source must be an object whose type is 'synthetic' "
                           "or 'directory'")
     _check_keys(src, _SOURCE_KEYS[src["type"]], f"{src['type']} source")
-    if src["type"] == "synthetic":
-        for seed in cfg["seeds"]:
-            _generator(cfg, seed)
-    elif not isinstance(src.get("path"), str):
+    if src["type"] == "directory" and not isinstance(src.get("path"), str):
         raise ConfigError("directory source requires a string 'path'")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string")
@@ -113,6 +110,9 @@ def load_config(path) -> dict:
                 MethodConfig(method=method, seed=seed, **method_kwargs)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"method {method!r}, seed {seed!r}: {exc}") from exc
+    if src["type"] == "synthetic":  # after the sweep's own seed and n_bins
+        for seed in cfg["seeds"]:
+            _generator(cfg, seed)
     return cfg
 
 

@@ -125,7 +125,7 @@ def replay_terms(model, items: list[ReplayItem], alpha: float, beta: float,
     """
     fc = rl = None
     for it in items:
-        hazards, f_p, f_g, f_f = model.forward(it.case, it.task_id)
+        hazards, f_p, f_g, f_f, _ = model.forward(it.case, it.task_id)
         if alpha > 0.0:
             term = ad.add(ad.add(_sq_dist(it.f_patch, f_p),
                                  _sq_dist(it.f_genomic, f_g)),

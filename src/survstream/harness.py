@@ -216,7 +216,7 @@ def _store_case(method: str, model: SurvivalModel, buffer: ReplayBuffer,
         item = ReplayItem(case, task_id, *model.feature_triple(case, task_id))
     else:  # derpp
         with ad.no_grad():
-            _, _, _, f_f = model.forward(case, task_id)
+            _, _, _, f_f, _ = model.forward(case, task_id)
             logits = model.heads[task_id](f_f).data.copy()
         item = ReplayItem(case, task_id, zeros, zeros, zeros, logits=logits)
     buffer.items[slot] = item
@@ -225,7 +225,7 @@ def _store_case(method: str, model: SurvivalModel, buffer: ReplayBuffer,
 def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
                buffer: ReplayBuffer | None,
                rng_buffer: np.random.Generator) -> ad.Tensor:
-    hazards, _, _, _ = model.forward(case, task_id)
+    hazards, *_ = model.forward(case, task_id)
     current = nll_survival_loss(hazards, case.label, case.censored,
                                 cfg.censored_weight)
     if buffer is None or len(buffer) == 0:  # finetune and joint have none
@@ -237,7 +237,7 @@ def _step_loss(cfg: MethodConfig, model: SurvivalModel, case, task_id: int,
     if cfg.method == "derpp":
         distill = None
         for it in items:
-            _, _, _, f_f = model.forward(it.case, it.task_id)
+            _, _, _, f_f, _ = model.forward(it.case, it.task_id)
             logits = model.heads[it.task_id](f_f)
             term = ad.mean_all(ad.square(ad.sub(logits, ad.constant(it.logits))))
             distill = term if distill is None else ad.add(distill, term)

@@ -12,6 +12,8 @@ list of cases through stacks of at most `INFER_CHUNK` cases under
 `autodiff.no_grad`: in each, the patch pooling, the only stage whose shapes
 depend on bag size, runs once per bag size, and everything after it runs
 once over the stack. Each row equals that case's own forward bit for bit.
+`forward` also returns the experts each site's gate selected, and `routing`
+counts those selections.
 """
 
 from __future__ import annotations
@@ -149,16 +151,17 @@ class SurvivalModel:
         return ad.matmul(attn, stack)                              # (1, d)
 
     def _encode_patches(self, bags, g: ad.Tensor, task_id: int
-                        ) -> tuple[ad.Tensor, ad.Tensor]:
-        """The patch stage: (f_patch, the patch summary)."""
+                        ) -> tuple[ad.Tensor, np.ndarray, ad.Tensor]:
+        """The patch stage: (f_patch, its selection, the patch summary)."""
         x_p, summary = self._pool_bags(bags, g)
-        return self.moe_patch.forward(x_p, task_id), summary
+        return *self.moe_patch.forward(x_p, task_id), summary
 
     def _encode_genomics(self, g: ad.Tensor, summary: ad.Tensor,
-                         task_id: int) -> ad.Tensor:
+                         task_id: int) -> tuple[ad.Tensor, np.ndarray]:
         return self.moe_gen.forward(self._pool_genomics(g, summary), task_id)
 
-    def fuse(self, f_p: ad.Tensor, f_g: ad.Tensor, task_id: int) -> ad.Tensor:
+    def fuse(self, f_p: ad.Tensor, f_g: ad.Tensor, task_id: int
+             ) -> tuple[ad.Tensor, np.ndarray]:
         if f_p.shape[-2:] != (1, self.cfg.latent) or f_g.shape != f_p.shape:
             raise ad.ShapeError("fuse expects two (1, latent) vectors")
         return self.moe_fuse.forward(ad.concat_cols(f_p, f_g), task_id)
@@ -169,8 +172,11 @@ class SurvivalModel:
         return ad.sigmoid(self.heads[task_id](f_f))
 
     def forward(self, case, task_id: int
-                ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor]:
-        """Full pass: returns (hazards, f_patch, f_genomic, f_fused).
+                ) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor, ad.Tensor,
+                           tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Full pass: returns (hazards, f_patch, f_genomic, f_fused,
+        (patch, genomic, fusion selection)), each selection the bool mask of
+        the experts that site's gate chose.
 
         `case` is one case, or under `ad.no_grad` a list of cases of any bag
         sizes, whose outputs are stacked on a leading axis in list order.
@@ -179,10 +185,11 @@ class SurvivalModel:
         forward bit for bit.
         """
         bags, g = self._inputs(case)
-        f_p, summary = self._encode_patches(bags, g, task_id)
-        f_g = self._encode_genomics(g, summary, task_id)
-        f_f = self.fuse(f_p, f_g, task_id)
-        return self.predict_hazards(f_f, task_id), f_p, f_g, f_f
+        f_p, sel_p, summary = self._encode_patches(bags, g, task_id)
+        f_g, sel_g = self._encode_genomics(g, summary, task_id)
+        f_f, sel_f = self.fuse(f_p, f_g, task_id)
+        return (self.predict_hazards(f_f, task_id), f_p, f_g, f_f,
+                (sel_p, sel_g, sel_f))
 
     def predict(self, cases: list[CaseRecord], task_id: int) -> np.ndarray:
         """Hazards of every case, (len(cases), n_bins), from one stacked
@@ -207,30 +214,22 @@ class SurvivalModel:
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Detached (f_patch, f_genomic, f_fused) values for buffer storage."""
         with ad.no_grad():
-            _, f_p, f_g, f_f = self.forward(case, task_id)
+            _, f_p, f_g, f_f, _ = self.forward(case, task_id)
         return f_p.data.copy(), f_g.data.copy(), f_f.data.copy()
 
     def routing(self, cases: list[CaseRecord], task_id: int
                 ) -> dict[str, np.ndarray]:
-        """Per-expert selection fraction over `cases` at each mixture site,
-        each fed what `forward` feeds it, from one stacked pass with no tape
-        per `INFER_CHUNK` cases (pooled once per bag size, as in `forward`).
-        Each site's statistics come from one `routing_stats` call over the
-        inputs of every chunk."""
-        inputs: list[list[np.ndarray]] = [[], [], []]
+        """Per-expert selection fraction over `cases` at each mixture site:
+        the selections of one stacked `forward` with no tape per
+        `INFER_CHUNK` cases, counted by one `routing_stats` call per site
+        over every chunk."""
         with ad.no_grad():
-            for chunk in _chunks(cases):
-                bags, g = self._inputs(chunk)
-                x_p, summary = self._pool_bags(bags, g)
-                x_g = self._pool_genomics(g, summary)
-                x_f = ad.concat_cols(self.moe_patch.forward(x_p, task_id),
-                                     self.moe_gen.forward(x_g, task_id))
-                for site_inputs, x in zip(inputs, (x_p, x_g, x_f)):
-                    site_inputs.append(x.data.reshape(len(chunk), -1))
+            chunks = [self.forward(chunk, task_id)[4]  # (B, 1, n) masks
+                      for chunk in _chunks(cases)]
         sites = {"patch": self.moe_patch, "genomic": self.moe_gen,
                  "fusion": self.moe_fuse}
-        return {name: site.routing_stats(np.concatenate(x), task_id)
-                for (name, site), x in zip(sites.items(), inputs)}
+        return {name: site.routing_stats(np.concatenate([c[i] for c in chunks]))
+                for i, (name, site) in enumerate(sites.items())}
 
     # ----------------------------------------------------------- parameters
 

@@ -3,13 +3,13 @@
 A module owns a fixed pool of two-layer FFN experts plus one linear router
 per task. Gating selects the shared expert (last index by convention) and the
 top-k scoring remaining experts, masks the rest to -inf and softmax-normalises
-over the full pool, so non-selected experts get exactly zero weight. The gate
-selects for a whole stack of rows in one array operation, as a bool mask:
-`forward` gates once per stack, and `routing_stats` counts a batch with one
-`topk_s_select` call through the same router call `forward` makes. Every row
-selects k_top + 1 experts, so `forward` sums a stack's mixture slot by slot:
-in slot k each expert runs once, on the rows whose k-th lowest selected
-expert it is, and the slot's rows are disjoint.
+over the full pool, so non-selected experts get exactly zero weight.
+`topk_s_select` is the one gate: it selects for a whole stack of rows in one
+array operation, as a bool mask, and `forward` returns that mask with its
+output, so `routing_stats` only counts the selections a forward made. Every
+row selects k_top + 1 experts, so `forward` sums a stack's mixture slot by
+slot: in slot k each expert runs once, on the rows whose k-th lowest
+selected expert it is, and the slot's rows are disjoint.
 
 Integration modes: "append" adds the mixture residually (y = x + MS(x));
 "replace" substitutes the mixture for an existing feed-forward layer
@@ -36,40 +36,34 @@ class DuplicateTaskError(ValueError):
 
 @dataclass(frozen=True)
 class GatingResult:
-    """Outcome of gating every row of a (..., n_experts) logit array."""
+    """Outcome of gating every row of a (..., n_experts) logits tensor."""
 
     selected: np.ndarray  # bool mask of the logits' shape
-    weights: np.ndarray   # the logits' shape, zero off-support, rows sum to 1
+    weights: ad.Tensor    # the logits' shape, zero off-support, rows sum to 1
 
 
-def _select(logits: np.ndarray, k_top: int, shared_idx: int) -> np.ndarray:
-    """(B, n) bool mask: each row's shared expert plus its k_top largest
-    remaining logits. A stable sort keeps equal logits in ascending index
-    order, so ties go to the lowest expert index."""
-    n_rows, n = logits.shape
+def topk_s_select(logits: ad.Tensor, k_top: int,
+                  shared_idx: int) -> GatingResult:
+    """Shared expert plus the k_top largest remaining logits, for every row
+    of a (..., n_experts) logits tensor at once.
+
+    A stable sort keeps equal logits in ascending index order, so ties go to
+    the lowest expert index. Non-selected logits are masked to -inf before
+    `ad.softmax`, so their weights are exactly zero; the weights are taped
+    when the logits are.
+    """
+    n = logits.shape[-1]
     if k_top + 1 > n:
         raise ValueError(f"k_top={k_top} + shared needs more than {n} experts")
-    order = np.argsort(-logits, axis=1, kind="stable")
-    top = order[order != shared_idx].reshape(n_rows, n - 1)[:, :k_top]
-    chosen = np.zeros((n_rows, n), dtype=bool)
-    chosen[np.arange(n_rows)[:, None], top] = True
+    rows = logits.data.reshape(-1, n)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    top = order[order != shared_idx].reshape(len(rows), n - 1)[:, :k_top]
+    chosen = np.zeros(rows.shape, dtype=bool)
+    chosen[np.arange(len(rows))[:, None], top] = True
     chosen[:, shared_idx] = True
-    return chosen
-
-
-def topk_s_select(logits, k_top: int, shared_idx: int) -> GatingResult:
-    """Shared expert plus the k_top largest remaining logits, for every row
-    of a (..., n_experts) array at once.
-
-    Ties are broken toward the lowest expert index. Non-selected logits are
-    masked to -inf before the softmax, so their weights are exactly zero.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    n = logits.shape[-1]
-    chosen = _select(logits.reshape(-1, n), k_top,
-                     shared_idx).reshape(logits.shape)
-    masked = ad.constant(np.where(chosen, logits, -np.inf).reshape(-1, n))
-    return GatingResult(chosen, ad.softmax(masked).data.reshape(logits.shape))
+    chosen = chosen.reshape(logits.shape)
+    mask = ad.constant(np.where(chosen, 0.0, -np.inf))
+    return GatingResult(chosen, ad.softmax(ad.add(logits, mask)))
 
 
 def _take(t: ad.Tensor, rows: list[int]) -> ad.Tensor:
@@ -120,9 +114,11 @@ class MoEModule:
             raise DuplicateTaskError(f"router for task {task_id} exists")
         self.routers[task_id] = Linear(self.d_in, self.n_experts, rng)
 
-    def forward(self, x: ad.Tensor, task_id: int) -> ad.Tensor:
+    def forward(self, x: ad.Tensor, task_id: int
+                ) -> tuple[ad.Tensor, np.ndarray]:
         """Differentiable mixture output for one (1, d_in) input, or under
-        `ad.no_grad` for a (B, 1, d_in) stack of them.
+        `ad.no_grad` for a (B, 1, d_in) stack of them, and the bool mask of
+        the experts each row selected, in the router logits' shape.
 
         Every row selects k_top + 1 experts, so the mixture is summed slot by
         slot: slot k holds each row's k-th lowest selected expert, each
@@ -132,12 +128,9 @@ class MoEModule:
         """
         if task_id not in self.routers:
             raise UnknownTaskError(task_id)
-        logits = self.routers[task_id](x)
-        # the selection only: ad.softmax below makes the weights
-        chosen = _select(logits.data.reshape(-1, self.n_experts), self.k_top,
-                         self.shared_idx)
-        mask = ad.constant(np.where(chosen, 0.0, -np.inf).reshape(logits.shape))
-        weights = ad.softmax(ad.add(logits, mask))
+        gate = topk_s_select(self.routers[task_id](x), self.k_top,
+                             self.shared_idx)
+        chosen = gate.selected.reshape(-1, self.n_experts)
         mix = None
         for slot in np.nonzero(chosen)[1].reshape(len(chosen), -1).T.tolist():
             groups: dict[int, list[int]] = {}
@@ -146,27 +139,19 @@ class MoEModule:
             term = None
             for i, rows in groups.items():
                 term = _put(term, rows, ad.mul(
-                    ad.col(_take(weights, rows), i),
+                    ad.col(_take(gate.weights, rows), i),
                     self.experts[i](_take(x, rows))), len(slot))
             mix = term if mix is None else ad.add(mix, term)
-        if self.mode == "append":
-            return ad.add(x, mix)
-        return mix
+        out = ad.add(x, mix) if self.mode == "append" else mix
+        return out, gate.selected
 
-    def routing_stats(self, inputs, task_id: int) -> np.ndarray:
-        """Per-expert selection fraction over a batch of d_in vectors, routed
-        by one no-grad router call on their (N, 1, d_in) stack, as `forward`."""
-        x = np.asarray(list(inputs), dtype=np.float64)
-        if not len(x):
-            raise ValueError("routing_stats needs at least one input")
-        if task_id not in self.routers:
-            raise UnknownTaskError(task_id)
-        with ad.no_grad():
-            logits = self.routers[task_id](
-                ad.constant(x.reshape(len(x), 1, self.d_in)))
-        gate = topk_s_select(logits.data.reshape(len(x), self.n_experts),
-                             self.k_top, self.shared_idx)
-        return gate.selected.sum(axis=0) / len(x)
+    def routing_stats(self, selected: np.ndarray) -> np.ndarray:
+        """Per-expert selection fraction over the rows of a (..., n_experts)
+        bool mask, as `forward` returns it."""
+        rows = selected.reshape(-1, self.n_experts)
+        if not len(rows):
+            raise ValueError("routing_stats needs at least one selection")
+        return rows.sum(axis=0) / len(rows)
 
     def parameters(self, prefix: str) -> dict[str, ad.Tensor]:
         out: dict[str, ad.Tensor] = {}

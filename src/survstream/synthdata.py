@@ -47,6 +47,8 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("n_tasks", "cases_per_task", "d_patch"):
             require_int(name, getattr(self, name), 1)
+        require_int("n_bins", self.n_bins, 2)
+        require_int("seed", self.seed, 0)
         try:
             low, high = self.n_patches
         except (TypeError, ValueError):

@@ -75,7 +75,7 @@ def test_criterion_1_gradient_fidelity():
     def loss_fn():
         current = None
         for case in batch:
-            hazards, _, _, _ = model.forward(case, 0)
+            hazards, *_ = model.forward(case, 0)
             term = sv.nll_survival_loss(hazards, case.label, case.censored)
             current = term if current is None else ad.add(current, term)
         current = ad.scale(current, 0.5)
@@ -216,12 +216,14 @@ def test_criterion_3_routing_invariants():
     support_ok = True
     weights_ok = True
     for _ in range(n_calls):
-        g = topk_s_select(rng.normal(size=8), k_top=2, shared_idx=7)
-        support_ok &= g.selected.sum() == 3 and g.selected[7]
-        weights_ok &= (g.weights >= 0).all() and abs(g.weights.sum() - 1) < 1e-12
-        off = [i for i in range(8) if not g.selected[i]]
-        weights_ok &= all(g.weights[i] == 0.0 for i in off)
-        counts += g.selected
+        g = topk_s_select(ad.constant(rng.normal(size=8)), k_top=2,
+                          shared_idx=7)
+        selected, weights = g.selected[0], g.weights.data[0]  # the one row
+        support_ok &= selected.sum() == 3 and selected[7]
+        weights_ok &= (weights >= 0).all() and abs(weights.sum() - 1) < 1e-12
+        off = [i for i in range(8) if not selected[i]]
+        weights_ok &= all(weights[i] == 0.0 for i in off)
+        counts += selected
     p = 2.0 / 7.0
     sigma = math.sqrt(p * (1 - p) / n_calls)
     dev = np.abs(counts[:7] / n_calls - p)
@@ -240,14 +242,15 @@ def test_criterion_4_integration_reductions():
     append = MoEModule(6, 6, 4, 2, "append", 5, rng)
     append.add_task_router(0, rng)
     xs = [rng.normal(size=(1, 6)) for _ in range(20)]
-    identity_ok = all(np.array_equal(append.forward(ad.constant(x), 0).data, x)
-                      for x in xs)
+    identity_ok = all(
+        np.array_equal(append.forward(ad.constant(x), 0)[0].data, x)
+        for x in xs)
     # k_top = 0 forces the gate onto the shared expert alone
     replace = MoEModule(6, 3, 4, 0, "replace", 5, rng)
     replace.add_task_router(0, rng)
     shared = replace.experts[replace.shared_idx]
     shared_ok = all(
-        np.array_equal(replace.forward(ad.constant(x), 0).data,
+        np.array_equal(replace.forward(ad.constant(x), 0)[0].data,
                        shared(ad.constant(x)).data)
         for x in xs)
     _report(4, identity_ok and shared_ok,

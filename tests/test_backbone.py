@@ -64,9 +64,10 @@ class TestCaseRecord:
 class TestForward:
     def test_shapes(self, model):
         case = make_case(np.random.default_rng(2))
-        hazards, f_p, f_g, f_f = model.forward(case, 0)
+        hazards, f_p, f_g, f_f, selected = model.forward(case, 0)
         assert hazards.shape == (1, TINY.n_bins)
         assert f_p.shape == f_g.shape == f_f.shape == (1, TINY.latent)
+        assert [s.shape for s in selected] == [(1, TINY.n_experts)] * 3
 
     def test_hazards_in_unit_interval(self, model):
         rng = np.random.default_rng(3)
@@ -122,9 +123,10 @@ class TestForward:
             taped = model.forward(case, 0)
             with ad.no_grad():
                 free = model.forward(case, 0)
-            for t, f in zip(taped, free):
+            for t, f in zip(taped[:4], free[:4]):
                 assert np.array_equal(f.data, t.data)
                 assert t.requires_grad and not f.requires_grad
+            assert all(np.array_equal(t, f) for t, f in zip(taped[4], free[4]))
             triple = model.feature_triple(case, 0)
             assert all(np.array_equal(a, t.data)
                        for a, t in zip(triple, taped[1:]))
@@ -170,7 +172,7 @@ class TestGradients:
         params = model.trainable_parameters(0)
 
         def loss_fn():
-            hazards, _, _, _ = model.forward(case, 0)
+            hazards, *_ = model.forward(case, 0)
             return ad.mean_all(ad.square(hazards))
 
         assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6

@@ -469,7 +469,7 @@ def test_collect_routing_feeds_each_site_what_forward_feeds_it(
     orig_forward = MoEModule.forward
 
     def recording_forward(self, x, task_id):
-        seen[sites[self]].append(x.data.reshape(-1).copy())
+        seen[sites[self]].append(x.data.reshape(-1, x.shape[-1]).copy())
         return orig_forward(self, x, task_id)
 
     monkeypatch.setattr(MoEModule, "forward", recording_forward)
@@ -477,25 +477,17 @@ def test_collect_routing_feeds_each_site_what_forward_feeds_it(
     idx = np.arange(5)
     for i in idx:
         model.forward(task.cases[i], task.task_id)
-    forward_inputs = {name: list(xs) for name, xs in seen.items()}
-    monkeypatch.setattr(MoEModule, "forward", orig_forward)
-
-    routed = {}
-    orig_stats = MoEModule.routing_stats
-
-    def recording_stats(self, inputs, task_id):
-        routed[sites[self]] = [np.asarray(x).copy() for x in inputs]
-        return orig_stats(self, inputs, task_id)
-
-    monkeypatch.setattr(MoEModule, "routing_stats", recording_stats)
+    forward_inputs = {name: np.concatenate(xs) for name, xs in seen.items()}
+    for xs in seen.values():
+        xs.clear()
     collect_routing(model, type(stream)([task], stream.d_patch,
                                         stream.genomic_width),
                     [(None, idx)])
-    assert set(routed) == set(forward_inputs)
+    assert all(len(xs) == 1 for xs in seen.values())  # one stacked forward
     for name, xs in forward_inputs.items():
-        assert len(routed[name]) == len(xs) == idx.size
-        for a, b in zip(routed[name], xs):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        routed = seen[name][0]
+        assert routed.shape == xs.shape and len(xs) == idx.size, name
+        assert routed.dtype == xs.dtype and np.array_equal(routed, xs), name
 
 
 def _eager_store_case(method, model, buffer, case, task_id, rng):
@@ -504,7 +496,7 @@ def _eager_store_case(method, model, buffer, case, task_id, rng):
     if method == "fcr":
         item = ReplayItem(case, task_id, *model.feature_triple(case, task_id))
     elif method == "derpp":
-        _, _, _, f_f = model.forward(case, task_id)
+        _, _, _, f_f, _ = model.forward(case, task_id)
         item = ReplayItem(case, task_id, zeros, zeros, zeros,
                           logits=model.heads[task_id](f_f).data.copy())
     else:

@@ -4,7 +4,8 @@ shapes, checked bit for bit:
 - finetune, fcr(0, 0), er(0, 0) and derpp(0, 0) take the same steps;
 - er(beta), fcr(0, beta) and derpp(0, beta) take the same steps;
 - while a task trains, every other task's routers and head stay as they are;
-- `SurvivalModel.routing` counts the selections `MoEModule.forward` makes.
+- stacked `SurvivalModel.routing` counts the selections each case's own
+  `forward` returns.
 """
 
 import hashlib
@@ -14,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from survstream import autodiff as ad
-from survstream import moe
 from survstream.harness import MethodConfig, build_model, run_sequence
 from survstream.survival import InsufficientEventsError
 from survstream.synthdata import GenerationError, GeneratorConfig, generate_stream
@@ -67,24 +67,12 @@ def _assert_other_tasks_frozen(cfg, stream, result, steps):
 
 def _forward_fractions(model, cases, task_id) -> dict[str, np.ndarray]:
     """Per-site selection fractions of the selections each case's own
-    forward makes (patch, genomic, fusion site, in call order)."""
-    seen = []
-    select = moe._select
-
-    def recording(logits, k_top, shared_idx):
-        seen.append(select(logits, k_top, shared_idx))
-        return seen[-1]
-
-    moe._select = recording
-    try:
-        with ad.no_grad():
-            for case in cases:
-                model.forward(case, task_id)
-    finally:
-        moe._select = select
+    forward returns (patch, genomic, fusion site)."""
     counts = np.zeros((3, model.cfg.n_experts))
-    for i, chosen in enumerate(seen):  # one case's (1, n_experts) mask
-        counts[i % 3] += chosen[0]
+    with ad.no_grad():
+        for case in cases:
+            for site, chosen in enumerate(model.forward(case, task_id)[4]):
+                counts[site] += chosen[0]  # one case's (1, n_experts) mask
     return dict(zip(("patch", "genomic", "fusion"), counts / len(cases)))
 
 

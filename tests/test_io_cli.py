@@ -26,6 +26,7 @@ from survstream.estimator import ContinualSurvivalEstimator, NotFittedError
 from survstream.fcr import ReplayBuffer
 from survstream.harness import MethodConfig, build_model
 from survstream.model import SurvivalModel
+from survstream.survival import UndefinedMetricError
 from survstream.synthdata import GeneratorConfig, generate_stream, split_folds
 from tests.helpers import spoil, streams_equal
 
@@ -817,6 +818,25 @@ class TestConfigValues:
 
 
 class TestCLI:
+    def test_a_config_that_is_not_an_object_exits_1(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"output_dir": "out"}]))
+        assert main(["run", str(config)]) == cli.EXIT_CONFIG
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_an_undefined_metric_in_a_verb_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def undefined(config_path):
+            raise UndefinedMetricError("no comparable pairs")
+
+        monkeypatch.setattr(cli, "run_experiment", undefined)
+        assert main(["run", str(write_config(tmp_path))]) == cli.EXIT_METRIC
+        err = capsys.readouterr().err
+        assert err.startswith("undefined metric:") and "no comparable" in err
+
     def test_run_writes_reports(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["run", str(path)]) == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from survstream import autodiff as ad
 from survstream.moe import (DuplicateTaskError, MoEModule, UnknownTaskError,
-                            _select, topk_s_select)
+                            topk_s_select)
 from tests.helpers import finite_diff_check, gradients
 
 
@@ -26,35 +26,41 @@ def _chosen(g) -> frozenset[int]:
     return frozenset(np.flatnonzero(g.selected).tolist())
 
 
+def _gate(logits, k_top: int, shared_idx: int):
+    """`topk_s_select` on constant logits: a list is one (1, n) row."""
+    return topk_s_select(ad.constant(logits), k_top, shared_idx)
+
+
 class TestTopKSSelect:
     def test_shared_always_in(self):
         # shared expert scores lowest but is still selected
-        g = topk_s_select([5.0, 4.0, 3.0, -100.0], k_top=2, shared_idx=3)
+        g = _gate([5.0, 4.0, 3.0, -100.0], k_top=2, shared_idx=3)
         assert _chosen(g) == frozenset({0, 1, 3})
 
     def test_top_scores_win(self):
-        g = topk_s_select([1.0, 9.0, 2.0, 8.0, 0.0], k_top=2, shared_idx=4)
+        g = _gate([1.0, 9.0, 2.0, 8.0, 0.0], k_top=2, shared_idx=4)
         assert _chosen(g) == frozenset({1, 3, 4})
 
     def test_tie_breaks_to_lowest_index(self):
-        g = topk_s_select([2.0, 2.0, 2.0, 0.0], k_top=2, shared_idx=3)
+        g = _gate([2.0, 2.0, 2.0, 0.0], k_top=2, shared_idx=3)
         assert _chosen(g) == frozenset({0, 1, 3})
 
     def test_weights_zero_off_support(self):
-        g = topk_s_select([1.0, 2.0, 3.0, 4.0, 0.0], k_top=2, shared_idx=4)
+        g = _gate([1.0, 2.0, 3.0, 4.0, 0.0], k_top=2, shared_idx=4)
         off = [i for i in range(5) if i not in _chosen(g)]
-        assert all(g.weights[i] == 0.0 for i in off)
+        assert all(g.weights.data[0, i] == 0.0 for i in off)
 
     def test_weights_hand_case(self):
         # selected logits 0, log 2, log 4 -> weights 1/7, 2/7, 4/7
-        g = topk_s_select([math.log(2), math.log(4), -50.0, 0.0],
-                          k_top=2, shared_idx=3)
+        g = _gate([math.log(2), math.log(4), -50.0, 0.0], k_top=2,
+                  shared_idx=3)
         assert _chosen(g) == frozenset({0, 1, 3})
-        assert np.allclose(g.weights, [2 / 7, 4 / 7, 0.0, 1 / 7], atol=1e-12)
+        assert np.allclose(g.weights.data, [[2 / 7, 4 / 7, 0.0, 1 / 7]],
+                           atol=1e-12)
 
     def test_support_size_exceeds_pool(self):
         with pytest.raises(ValueError):
-            topk_s_select([1.0, 2.0], k_top=2, shared_idx=1)
+            _gate([1.0, 2.0], k_top=2, shared_idx=1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-30, 30), min_size=4, max_size=10),
@@ -63,11 +69,11 @@ class TestTopKSSelect:
         n = len(logits)
         if k_top + 1 > n:
             k_top = n - 1
-        g = topk_s_select(logits, k_top=k_top, shared_idx=n - 1)
+        g = _gate(logits, k_top=k_top, shared_idx=n - 1)
         assert g.selected.sum() == k_top + 1
-        assert g.selected[n - 1]
-        assert abs(g.weights.sum() - 1.0) < 1e-12
-        assert (g.weights >= 0.0).all()
+        assert g.selected[0, n - 1]
+        assert abs(g.weights.data.sum() - 1.0) < 1e-12
+        assert (g.weights.data >= 0.0).all()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-30, 30).map(lambda v: round(v, 1)),
@@ -84,9 +90,9 @@ class TestTopKSSelect:
         selected = sorted(rest[:k_top] + [shared])
         e = np.zeros(n)
         e[selected] = np.exp(x[selected] - x[selected].max())
-        g = topk_s_select(logits, k_top=k_top, shared_idx=shared)
+        g = _gate(logits, k_top=k_top, shared_idx=shared)
         assert np.flatnonzero(g.selected).tolist() == selected
-        assert np.array_equal(g.weights, e / e.sum())
+        assert np.array_equal(g.weights.data[0], e / e.sum())
 
 
 # rounded logits make ties common; -0.0 and 0.0 compare equal
@@ -109,7 +115,7 @@ class TestStackedGate:
     @given(logit_stacks())
     def test_select_equals_the_row_by_row_oracle(self, drawn):
         logits, k_top, shared = drawn
-        chosen = _select(logits, k_top, shared)
+        chosen = _gate(logits, k_top, shared).selected
         assert chosen.dtype == bool and chosen.shape == logits.shape
         for row, mask in zip(logits, chosen):
             assert (frozenset(np.flatnonzero(mask).tolist())
@@ -119,24 +125,41 @@ class TestStackedGate:
     @given(logit_stacks())
     def test_a_stack_gates_as_its_rows_one_by_one(self, drawn):
         logits, k_top, shared = drawn
-        g = topk_s_select(logits, k_top, shared)
+        g = _gate(logits, k_top, shared)
         assert g.selected.shape == g.weights.shape == logits.shape
         for b, row in enumerate(logits):
-            one = topk_s_select(row, k_top, shared)
+            one = _gate(row, k_top, shared)
             assert g.selected[b].tobytes() == one.selected.tobytes()
-            assert g.weights[b].tobytes() == one.weights.tobytes()
+            assert g.weights.data[b].tobytes() == one.weights.data.tobytes()
 
     def test_zero_and_negative_zero_tie(self):
         # equal logits: the lower index wins whichever sign its zero has
-        chosen = _select(np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]]), 1, 2)
+        chosen = _gate([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]], 1, 2).selected
         assert chosen.tolist() == [[True, False, True], [True, False, True]]
+
+
+def test_taped_gate_weights_pass_the_gradient_check():
+    rng = np.random.default_rng(12)
+    logits = ad.Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+    coef = ad.constant(rng.normal(size=(1, 6)))
+
+    def loss_fn():
+        return ad.sum_all(ad.mul(topk_s_select(logits, 2, 5).weights, coef))
+
+    assert finite_diff_check(loss_fn, {"logits": logits}, eps=1e-6) < 1e-6
+    g = topk_s_select(logits, 2, 5)
+    assert g.weights.requires_grad
+    grad = gradients(ad.sum_all(ad.mul(g.weights, coef)),
+                     {"logits": logits})["logits"]
+    assert (grad[~g.selected] == 0.0).all()
+    assert (grad[g.selected] != 0.0).all()
 
 
 def routed(module, x, task_id=0):
     """The gating result of the (1, d_in) input x under the task's router,
     through the router call `MoEModule.forward` makes."""
-    logits = module.routers[task_id](ad.constant(x)).data
-    return topk_s_select(logits[0], module.k_top, module.shared_idx)
+    logits = module.routers[task_id](ad.constant(x))
+    return topk_s_select(logits, module.k_top, module.shared_idx)
 
 
 @pytest.fixture
@@ -160,7 +183,7 @@ def replace_module():
 class TestMoEModule:
     def test_append_is_identity_at_init(self, append_module):
         x = np.random.default_rng(2).normal(size=(1, 6))
-        y = append_module.forward(ad.constant(x), 0)
+        y, _ = append_module.forward(ad.constant(x), 0)
         assert np.array_equal(y.data, x)
 
     def test_replace_matches_manual_mixture(self, replace_module):
@@ -168,16 +191,18 @@ class TestMoEModule:
         g = routed(replace_module, x)
         manual = np.zeros((1, 3))
         for i in _chosen(g):
-            manual += g.weights[i] * replace_module.experts[i](
+            manual += g.weights.data[0, i] * replace_module.experts[i](
                 ad.constant(x)).data
-        y = replace_module.forward(ad.constant(x), 0)
+        y, _ = replace_module.forward(ad.constant(x), 0)
         assert np.allclose(y.data, manual, atol=1e-12)
 
     def test_forward_weights_match_gate(self, replace_module):
         x = np.random.default_rng(4).normal(size=(1, 6))
         g = routed(replace_module, x)
-        assert g.selected.sum() == 2
-        assert g.selected[replace_module.shared_idx]
+        _, selected = replace_module.forward(ad.constant(x), 0)
+        assert selected.tobytes() == g.selected.tobytes()
+        assert selected.sum() == 2
+        assert selected[0, replace_module.shared_idx]
 
     def test_unknown_task(self, append_module):
         with pytest.raises(UnknownTaskError):
@@ -205,30 +230,34 @@ class TestMoEModule:
 
     def test_routing_stats_sane(self, append_module):
         rng = np.random.default_rng(8)
-        stats = append_module.routing_stats(
-            [rng.normal(size=6) for _ in range(40)], 0)
+        with ad.no_grad():
+            _, selected = append_module.forward(
+                ad.constant(rng.normal(size=(40, 1, 6))), 0)
+        stats = append_module.routing_stats(selected)
         assert stats[append_module.shared_idx] == 1.0
         assert abs(stats.sum() - 3.0) < 1e-12  # k_top + 1 picks per input
+        with pytest.raises(ValueError):
+            append_module.routing_stats(selected[:0])
 
     def test_gradient_flow_through_mixture(self, replace_module):
         x = ad.constant(np.random.default_rng(9).normal(size=(1, 6)))
         params = replace_module.parameters("moe")
 
         def loss_fn():
-            return ad.sum_all(ad.square(replace_module.forward(x, 0)))
+            return ad.sum_all(ad.square(replace_module.forward(x, 0)[0]))
 
         assert finite_diff_check(loss_fn, params, eps=1e-6) < 1e-6
 
     def test_unselected_experts_get_zero_grad(self, replace_module):
         x = ad.constant(np.random.default_rng(10).normal(size=(1, 6)))
-        g = routed(replace_module, x.data)
-        loss = ad.sum_all(ad.square(replace_module.forward(x, 0)))
+        out, selected = replace_module.forward(x, 0)
+        loss = ad.sum_all(ad.square(out))
         params = replace_module.parameters("moe")
         grads = gradients(loss, params)
         for i in range(replace_module.n_experts):
             gnorm = sum(np.abs(grads[k]).sum() for k in grads
                         if f".expert{i}." in k)
-            if g.selected[i]:
+            if selected[0, i]:
                 assert gnorm > 0.0
             else:
                 assert gnorm == 0.0
@@ -240,7 +269,9 @@ def test_selection_frequency_uniform_logit_inputs():
     m = MoEModule(8, 8, 8, 2, "append", 4, rng)
     m.add_task_router(0, rng)
     n_calls = 2000
-    stats = m.routing_stats([rng.normal(size=8) for _ in range(n_calls)], 0)
+    with ad.no_grad():
+        _, selected = m.forward(ad.constant(rng.normal(size=(n_calls, 1, 8))), 0)
+    stats = m.routing_stats(selected)
     assert stats[7] == 1.0
     p = 2.0 / 7.0
     sigma = math.sqrt(p * (1 - p) / n_calls)
@@ -285,10 +316,12 @@ def moe_stacks(draw):
 def test_a_stack_mixes_each_row_as_that_row_alone(drawn):
     m, x = drawn
     with ad.no_grad():
-        stacked = m.forward(ad.constant(x), 0)
+        stacked, selected = m.forward(ad.constant(x), 0)
         own = [m.forward(ad.constant(row), 0) for row in x]
     assert stacked.shape == (len(x), 1, m.d_out)
-    assert stacked.data.tobytes() == np.stack([o.data for o in own]).tobytes()
+    assert stacked.data.tobytes() == np.stack([o.data for o, _ in own]).tobytes()
+    assert selected.shape == (len(x), 1, m.n_experts)
+    assert selected.tobytes() == np.stack([s for _, s in own]).tobytes()
 
 
 def _op(node) -> str:
@@ -304,7 +337,7 @@ def test_one_row_tapes_exactly_the_mixture_nodes(mode, k_top):
     m.add_task_router(0, rng)
     _perturbed(m, rng)
     x = ad.constant(rng.normal(size=(1, 6)))
-    out = m.forward(x, 0)
+    out, selected = m.forward(x, 0)
     k = k_top + 1
     assert Counter(_op(node) for node in ad._topo(out) if node._parents) == {
         "linear": 1 + 2 * k, "add": 1 + k_top + (mode == "append"),
@@ -317,6 +350,5 @@ def test_one_row_tapes_exactly_the_mixture_nodes(mode, k_top):
         terms.append(term)
     terms = [mix] + terms[::-1]
     assert [_op(t) for t in terms] == ["mul"] * k
-    selected = np.flatnonzero(routed(m, x.data).selected).tolist()
     assert [t._parents[1].data.tobytes() for t in terms] == [
-        m.experts[i](x).data.tobytes() for i in selected]
+        m.experts[i](x).data.tobytes() for i in np.flatnonzero(selected)]

@@ -120,23 +120,14 @@ def test_collect_routing_equals_a_per_case_reference(k_top):
     splits = [(None, np.arange(len(t))[::-1]) for t in STREAM.tasks]
     want = []
     for task, (_, va) in zip(STREAM.tasks, splits):
-        inputs = {"patch": [], "genomic": [], "fusion": []}
+        masks = {"patch": [], "genomic": [], "fusion": []}
         with ad.no_grad():
-            for i in va:
-                [(_, p)], g = model._inputs(task.cases[i])
-                pooled_p = model._pool_patches(p, g).data
-                summary = ad.mean_rows(ad.relu(model.gen_psum(p)))
-                pooled_g = model._pool_genomics(g, summary).data
-                f_p = model.moe_patch.forward(ad.constant(pooled_p), task.task_id)
-                f_g = model.moe_gen.forward(ad.constant(pooled_g), task.task_id)
-                inputs["patch"].append(pooled_p.reshape(-1))
-                inputs["genomic"].append(pooled_g.reshape(-1))
-                inputs["fusion"].append(
-                    np.concatenate([f_p.data, f_g.data], axis=1).reshape(-1))
-        for name, site in (("patch", model.moe_patch),
-                           ("genomic", model.moe_gen),
-                           ("fusion", model.moe_fuse)):
-            props = site.routing_stats(inputs[name], task.task_id)
+            for i in va:  # each case's own (1, n_experts) mask per site
+                for name, chosen in zip(
+                        masks, model.forward(task.cases[i], task.task_id)[4]):
+                    masks[name].append(chosen)
+        for name, chosen in masks.items():
+            props = np.concatenate(chosen).mean(axis=0)
             want += [(task.task_id, name, e, float(v))
                      for e, v in enumerate(props)]
     assert collect_routing(model, STREAM, splits) == want
@@ -164,9 +155,12 @@ def test_a_mixed_bag_stack_equals_each_cases_own_forward():
     with ad.no_grad():
         stacked = model.forward(cases, task.task_id)
         own = [model.forward(c, task.task_id) for c in cases]
-    for k, out in enumerate(stacked):
+    for k, out in enumerate(stacked[:4]):
         assert out.shape == (len(cases),) + own[0][k].shape
         assert out.data.tobytes() == np.stack([o[k].data for o in own]).tobytes()
+    for site, chosen in enumerate(stacked[4]):  # each site's selections
+        assert chosen.shape == (len(cases),) + own[0][4][site].shape
+        assert chosen.tobytes() == np.stack([o[4][site] for o in own]).tobytes()
 
 
 def test_a_nan_case_changes_only_its_own_row_of_a_stack():
@@ -227,12 +221,16 @@ def test_chunked_predict_and_routing_equal_one_stack(monkeypatch, chunk):
 def test_routing_reads_each_site_once_over_every_chunk(monkeypatch):
     model, task = _model(1, True), STREAM.tasks[0]
     monkeypatch.setattr(model_module, "INFER_CHUNK", 3)
-    sizes = []
+    chunks, sizes = [], []
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda cases, t:
+                        chunks.append(len(cases)) or forward(cases, t))
     for site in (model.moe_patch, model.moe_gen, model.moe_fuse):
         stats = site.routing_stats
-        monkeypatch.setattr(site, "routing_stats", lambda x, t, stats=stats:
-                            sizes.append(len(x)) or stats(x, t))
+        monkeypatch.setattr(site, "routing_stats", lambda x, stats=stats:
+                            sizes.append(len(x)) or stats(x))
     model.routing(task.cases, task.task_id)
+    assert len(task.cases) == 40 and chunks == [3] * 13 + [1]
     assert sizes == [len(task.cases)] * 3
 
 
@@ -245,7 +243,7 @@ def test_routing_gates_each_site_once(monkeypatch):
     monkeypatch.setattr(moe, "topk_s_select", lambda logits, *a:
                         calls.append(logits.shape) or gate(logits, *a))
     model.routing(task.cases, task.task_id)
-    assert calls == [(300, N_EXPERTS)] * 3
+    assert calls == [(300, 1, N_EXPERTS)] * 3
 
 
 def test_a_non_finite_case_in_a_later_chunk_is_named(monkeypatch):

@@ -126,7 +126,9 @@ class TestValidation:
         {"group_dims": ("a", 1, 1, 1, 1, 1)}, {"group_dims": (4, 0, 4, 4, 4, 4)},
         {"noise_scale": "a"}, {"noise_scale": -0.5},
         {"baseline_hazard": -1}, {"baseline_hazard": 0},
-        {"baseline_hazard": float("inf")}, {"shared_scale": float("nan")}])
+        {"baseline_hazard": float("inf")}, {"shared_scale": float("nan")},
+        {"seed": 1.5}, {"seed": -1}, {"seed": True}, {"seed": "a"},
+        {"n_bins": 1}, {"n_bins": 4.0}, {"n_bins": False}])
     def test_bad_generator_value(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             GeneratorConfig(**bad)
